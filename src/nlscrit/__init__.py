@@ -16,8 +16,8 @@ from .grid import (Profile, RadialGrid, derivative, grad_l2_sq, integrate,
                    load_profile, load_profile_csv, lq_norm, lq_norm_pow,
                    make_grid, mass, rescale, resample, save_profile,
                    surface_area)
-from .minimize import (SolveOptions, SolveReport, SubadditivityReport,
-                       boundary_scan, minimize_local, subadditivity_check)
+from .minimize import (SolveReport, SubadditivityReport, boundary_scan,
+                       minimize_local, subadditivity_check)
 from .mountainpass import (CpoSequenceReport, LevelEstimate, MPFamilySpec,
                            PositivityProbeReport, cpo_sequence_case1,
                            cpo_sequence_case2, estimate_mp_level,

@@ -3,7 +3,8 @@
 Every command writes exactly one JSON document (or one CSV table for
 `sweep`/`evolve --csv`) to stdout or to --out.  Exit codes: 0 success,
 1 domain error (reported as an error JSON), 2 usage error.  All outputs
-are deterministic for a fixed seed; no timestamps, no machine state.
+are deterministic: the same arguments give the same bytes; no timestamps,
+no machine state.
 
 Masses can be given in the problem's natural normalizations:
 `--a auto-a0`, `--a 0.5a0` (any multiple of the threshold mass), or a
@@ -19,9 +20,7 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +55,6 @@ class RunConfig:
     grading: float = 0.0
     origin_blend: float = 0.0
     tol: float = 1e-8
-    seed: int = 0
     out_path: str | None = None
     out_format: str = "json"
     extra: dict = field(default_factory=dict)
@@ -202,8 +200,7 @@ def _cmd_fiber(cfg: RunConfig) -> dict:
 def _cmd_minimize(cfg: RunConfig) -> dict:
     params = _resolve_mass(cfg)
     g = _make_grid(cfg)
-    opts = minmod.SolveOptions(tol=cfg.tol)
-    rep = minmod.minimize_local(params, g, opts=opts)
+    rep = minmod.minimize_local(params, g, tol=cfg.tol)
     return {
         "schema_version": SCHEMA_VERSION,
         "energy": rep.energy, "pohozaev": rep.pohozaev, "lambda": rep.lam,
@@ -219,8 +216,7 @@ def _cmd_subadd(cfg: RunConfig) -> dict:
     g = _make_grid(cfg)
     a1 = cfg.extra.get("a1")
     a1 = params.a / 2.0 if a1 is None else float(a1)
-    rep = minmod.subadditivity_check(params, g, a1,
-                                     opts=minmod.SolveOptions(tol=cfg.tol))
+    rep = minmod.subadditivity_check(params, g, a1, tol=cfg.tol)
     return {"schema_version": SCHEMA_VERSION, "a1": a1,
             "m_a": rep.m_a, "m_a1": rep.m_a1, "m_rest": rep.m_rest, "gap": rep.gap}
 
@@ -313,8 +309,7 @@ def _cmd_evolve(cfg: RunConfig):
     return doc
 
 
-def _sweep_point(args):
-    params, g, with_ma, with_level, tol = args
+def _sweep_point(params, g, with_ma, with_level, tol):
     row = {"mu": params.mu, "a": params.a, "m_a": "", "level": "", "error": ""}
     try:
         thr = cst.thresholds(params)
@@ -322,8 +317,7 @@ def _sweep_point(args):
         rep = None
         if (with_ma or with_level) and thr.regime in (cst.Regime.OMEGA1,
                                                       cst.Regime.OMEGA2):
-            rep = minmod.minimize_local(params, g, thresholds=thr,
-                                        opts=minmod.SolveOptions(tol=tol))
+            rep = minmod.minimize_local(params, g, tol=tol, thresholds=thr)
             if with_ma:
                 row["m_a"] = repr(rep.energy)
         if with_level and rep is not None:
@@ -350,14 +344,8 @@ def _cmd_sweep(cfg: RunConfig):
         pm = cst.ProblemParams(cfg.dim, qval, float(mu), 1.0, qexact)
         a0 = cst.critical_mass_a0(pm, S, C)
         for rel in np.linspace(a_lo, a_hi, int(a_n)):
-            points.append((pm.with_mass(float(rel) * a0), g, with_ma,
-                           with_level, cfg.tol))
-    threads = int(os.environ.get("NLS_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        rows = [_sweep_point(p) for p in points]
+            points.append(pm.with_mass(float(rel) * a0))
+    rows = [_sweep_point(p, g, with_ma, with_level, cfg.tol) for p in points]
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["mu", "a", "regime", "m_a", "level", "error"])
@@ -384,9 +372,7 @@ def _add_common(p: argparse.ArgumentParser, grid_defaults=(8192, 50.0, 0.0)):
     p.add_argument("--origin-blend", type=float, default=0.0,
                    help="blend toward uniform spacing at the origin (evolution grids)")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
 
 
 def _parse_range(text: str):
@@ -476,7 +462,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, dim=args.dim, q=args.q, mu=args.mu,
                      a_spec=args.a, grid_n=args.grid_n, r_max=args.r_max,
                      grading=args.grading, origin_blend=args.origin_blend,
-                     tol=args.tol, seed=args.seed,
+                     tol=args.tol,
                      out_path=args.out, out_format=fmt, extra=extra)
 
 

@@ -32,10 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import constants as cst
-from .grid import Profile, RadialGrid, rescale
+from .grid import Profile, RadialGrid, lq_norm_pow, mass, rescale, tridiag_solve
+
+RESOLUTION_CAP = 0.5      # largest accepted dt * max|potential|
 
 
 @dataclass
@@ -58,29 +59,14 @@ class _RelaxationStepper:
         self.grid = grid
         self.linear = linear
         self.ex = cst.exponents(params)
-        self.W = grid.full_weights
-        self.diagA, self.offA = grid.stiffness_bands()
-
-    def amul(self, u: np.ndarray) -> np.ndarray:
-        out = self.diagA * u
-        out[:-1] = out[:-1] + self.offA * u[1:]
-        out[1:] = out[1:] + self.offA * u[:-1]
-        return out
-
-    def mass(self, psi: np.ndarray) -> float:
-        return float(np.dot(self.W, np.abs(psi) ** 2))
-
-    def grad2(self, psi: np.ndarray) -> float:
-        return float(np.real(np.vdot(psi, self.amul(psi))))
 
     def energy(self, psi: np.ndarray) -> float:
         ts, q, mu = self.ex.two_star, self.params.q, self.params.mu
-        kin = 0.5 * self.grad2(psi)
+        kin = 0.5 * self.grid.stiffness_quad(psi)
         if self.linear:
             return kin
-        ap = np.abs(psi)
-        return kin - float(np.dot(self.W, ap ** ts)) / ts \
-            - mu / q * float(np.dot(self.W, ap ** q))
+        return kin - lq_norm_pow(self.grid, psi, ts) / ts \
+            - mu / q * lq_norm_pow(self.grid, psi, q)
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
         if self.linear:
@@ -89,29 +75,24 @@ class _RelaxationStepper:
         with np.errstate(under="ignore"):
             return rho ** (ts / 2.0 - 1.0) + mu * rho ** (q / 2.0 - 1.0)
 
-    def step(self, psi: np.ndarray, ups: np.ndarray, dt: float,
-             resolution_cap: float = 0.5):
+    def step(self, psi: np.ndarray, ups: np.ndarray, dt: float):
         """One relaxation CN step; returns (psi_new, ups_new) or None.
 
-        A step is refused when dt * max|potential| exceeds the resolution
-        cap: the Cayley solve would stay stable but simply scramble phases,
+        A step is refused when dt * max|potential| exceeds RESOLUTION_CAP:
+        the Cayley solve would stay stable but simply scramble phases,
         silently freezing a focusing solution instead of following it."""
         ups_new = 2.0 * self.potential(np.abs(psi) ** 2) - ups
         if not np.all(np.isfinite(ups_new)):
             return None
-        if not self.linear and dt * float(np.max(np.abs(ups_new))) > resolution_cap:
+        if not self.linear and dt * float(np.max(np.abs(ups_new))) > RESOLUTION_CAP:
             return None
         idt2 = 0.5j * dt
-        ab = np.empty((3, self.grid.n), dtype=complex)
-        ab[0, 0] = 0.0
-        ab[2, -1] = 0.0
-        ab[0, 1:] = idt2 * self.offA
-        ab[2, :-1] = idt2 * self.offA
-        hdiag = self.diagA - self.W * ups_new
-        ab[1, :] = self.W + idt2 * hdiag
-        rhs = self.W * psi - idt2 * (self.amul(psi) - self.W * ups_new * psi)
+        g = self.grid
+        W = g.full_weights
+        diag, off = g.stiffness_bands()
+        rhs = W * psi - idt2 * (g.stiffness_apply(psi) - W * ups_new * psi)
         try:
-            new = sla.solve_banded((1, 1), ab, rhs)
+            new = tridiag_solve(idt2 * off, W + idt2 * (diag - W * ups_new), rhs)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(new)):
@@ -122,11 +103,11 @@ class _RelaxationStepper:
 def h1_distance(grid: RadialGrid, psi: np.ndarray, ref: np.ndarray,
                 stepper: _RelaxationStepper) -> float:
     """min over theta of ||psi - e^(i theta) ref||_H1 (phase modulation only;
-    radial symmetry pins translations)."""
-    W = stepper.W
-    inner = np.vdot(ref, stepper.amul(psi)) + np.vdot(ref * W, psi)
-    n_psi = stepper.grad2(psi) + float(np.dot(W, np.abs(psi) ** 2))
-    n_ref = stepper.grad2(ref) + float(np.dot(W, np.abs(ref) ** 2))
+    radial symmetry pins translations).  The kinetic operator is the grid's;
+    `stepper` is not read."""
+    inner = np.vdot(ref, grid.stiffness_apply(psi)) + np.vdot(ref * grid.full_weights, psi)
+    n_psi = grid.stiffness_quad(psi) + mass(grid, psi)
+    n_ref = grid.stiffness_quad(ref) + mass(grid, ref)
     d2 = n_psi + n_ref - 2.0 * abs(inner)
     return math.sqrt(max(d2, 0.0))
 
@@ -151,12 +132,12 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
     psi = psi0.values.astype(complex)
     ups = stepper.potential(np.abs(psi) ** 2)
     probe_idx = int(np.argmax(np.abs(psi))) if np.any(psi != 0.0) else 0
-    g0 = math.sqrt(max(stepper.grad2(psi), 1e-300))
+    g0 = math.sqrt(max(grid.stiffness_quad(psi), 1e-300))
 
     times = [0.0]
-    masses = [stepper.mass(psi)]
+    masses = [mass(grid, psi)]
     energies = [stepper.energy(psi)]
-    grads = [math.sqrt(max(stepper.grad2(psi), 0.0))]
+    grads = [math.sqrt(max(grid.stiffness_quad(psi), 0.0))]
     probes = [psi[probe_idx]]
     dists = None
     if reference is not None:
@@ -181,7 +162,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         out = stepper.step(psi, ups, h)
         gnorm = None
         if out is not None:
-            gnorm = math.sqrt(max(stepper.grad2(out[0]), 0.0))
+            gnorm = math.sqrt(max(grid.stiffness_quad(out[0]), 0.0))
             grew = gnorm > growth_trigger * gnorm_prev and gnorm > growth_trigger * g0
             if grew and cur_dt > 2.0 * dt_min:
                 out = None      # under-resolved focusing: retry smaller
@@ -211,7 +192,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
             record = True
         if record:
             times.append(t)
-            masses.append(stepper.mass(psi))
+            masses.append(mass(grid, psi))
             energies.append(stepper.energy(psi))
             grads.append(gnorm)
             probes.append(psi[probe_idx])
@@ -243,8 +224,7 @@ def stability_probe(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
     modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u, mass
     renormalized; eps may be negative."""
     vals = (1.0 + eps * np.exp(-grid.nodes ** 2)) * u.values
-    m = float(np.dot(grid.full_weights, np.abs(vals) ** 2))
-    vals = vals * math.sqrt(params.a / m)
+    vals = vals * math.sqrt(params.a / mass(grid, vals))
     psi0 = Profile(grid, vals.astype(complex))
     summary = evolve(params, grid, psi0, dt, t_end, reference=u,
                      stride=stride, **kwargs)
@@ -272,8 +252,7 @@ def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
     if amplification <= 0.0:
         raise ValueError("amplification must be positive")
     w = rescale(v, amplification)
-    m = float(np.dot(grid.full_weights, np.abs(w.values) ** 2))
-    w = Profile(grid, (w.values * math.sqrt(params.a / m)).astype(complex))
+    w = Profile(grid, (w.values * math.sqrt(params.a / mass(grid, w))).astype(complex))
     summary = evolve(params, grid, w, dt, t_end, stride=stride, **kwargs)
     growth = float(np.max(summary.grad_norm) / summary.grad_norm[0])
     return BlowupReport(blowup_flag=summary.blowup_flag,

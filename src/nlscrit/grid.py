@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import get_lapack_funcs
 
 
 def surface_area(dim: int) -> float:
@@ -102,32 +103,52 @@ class RadialGrid:
         object.__setattr__(self, "_full_w", om * self.weights)
         rr = np.concatenate([self.nodes, [self.r_max]])
         masses = om * (rr[1:] ** self.dim - rr[:-1] ** self.dim) / self.dim
-        dr = np.diff(rr)
-        object.__setattr__(self, "_k_int", masses / dr**2)
-        object.__setattr__(self, "_dr_int", dr)
-
-    def stiffness_bands(self):
-        """(diag, off) of the tridiagonal kinetic form: u.A.u = grad_l2_sq(u)."""
-        k = self._k_int
+        k = masses / np.diff(rr) ** 2
         d = np.zeros(self.n)
         d[:-1] += k[:-1]
         d[1:] += k[:-1]
         d[-1] += k[-1]
-        return d, -k[:-1]
+        off = -k[:-1]
+        d.flags.writeable = off.flags.writeable = False
+        object.__setattr__(self, "_k_int", k)
+        object.__setattr__(self, "_stiff", (d, off))
+
+    def stiffness_bands(self):
+        """(diag, off) of the tridiagonal kinetic operator A, shared read-only."""
+        return self._stiff
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
-        d, off = self._stiff_cache()
+        """A u for real or complex u."""
+        d, off = self.stiffness_bands()
         out = d * u
         out[:-1] = out[:-1] + off * u[1:]
         out[1:] = out[1:] + off * u[:-1]
         return out
 
-    def _stiff_cache(self):
-        try:
-            return self._stiff
-        except AttributeError:
-            object.__setattr__(self, "_stiff", self.stiffness_bands())
-            return self._stiff
+    def stiffness_quad(self, u: np.ndarray) -> float:
+        """Re u.A.u, the kinetic form of the solvers.
+
+        It equals grad_l2_sq(u) only up to rounding, and both forms stay:
+        grad_l2_sq is the reported norm, u.A.u is what the solvers decide on.
+        Swapping in grad_l2_sq's per-interval sum flipped `converged` of the
+        local minimization at 19 of 360 points of a (N, q, mu, a) lattice."""
+        return float(np.real(np.vdot(u, self.stiffness_apply(u))))
+
+
+def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs for the symmetric tridiagonal T with diagonal `diag`
+    and both off-diagonals `off`, by LAPACK gtsv; rhs may hold several
+    columns.  Same routine and contract as scipy's (1, 1)-banded solver:
+    ValueError on non-finite input, LinAlgError when T is singular."""
+    if not (np.isfinite(off).all() and np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("tridiagonal system must not contain infs or NaNs")
+    gtsv, = get_lapack_funcs(("gtsv",), (off, diag, rhs))
+    *_, x, info = gtsv(off, diag, off, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 @dataclass(frozen=True, eq=False)

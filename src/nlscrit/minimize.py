@@ -18,25 +18,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import Profile, RadialGrid, rescale
+from .grid import Profile, RadialGrid, lq_norm_pow, mass, rescale, tridiag_solve
 
-
-@dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-8                 # stop when residual < tol * max(1, |E|)
-    max_iter: int = 20000             # descent-phase cap
-    newton: bool = True
-    newton_switch: float = 1e-3       # residual at which Newton takes over
-    newton_max: int = 80
-    step0: float = 0.5
-    step_max: float = 4.0
-    armijo: float = 1e-4
-    precond_shift: float = 1.0        # alpha in (alpha - Laplacian)^-1
+MAX_ITER = 20000          # descent-phase cap
+NEWTON_SWITCH = 1e-3      # residual at which Newton takes over
+NEWTON_MAX = 80
+STEP0 = 0.5
+STEP_MAX = 4.0
+ARMIJO = 1e-4
+PRECOND_SHIFT = 1.0       # alpha in (alpha - Laplacian)^-1
 
 
 @dataclass
@@ -52,100 +46,79 @@ class SolveReport:
     converged: bool
 
 
-class _Discretization:
-    """Cached arrays for one (params, grid) pair."""
-
-    def __init__(self, params: cst.ProblemParams, grid: RadialGrid):
-        self.params = params
-        self.grid = grid
-        self.ex = cst.exponents(params)
-        self.W = grid.full_weights
-        self.diagA, self.offA = grid.stiffness_bands()
-
-    def amul(self, u: np.ndarray) -> np.ndarray:
-        out = self.diagA * u
-        out[:-1] = out[:-1] + self.offA * u[1:]
-        out[1:] = out[1:] + self.offA * u[:-1]
-        return out
-
-    def mass(self, u: np.ndarray) -> float:
-        return float(np.dot(self.W, u * u))
-
-    def grad2(self, u: np.ndarray) -> float:
-        return float(np.dot(u, self.amul(u)))
-
-    def lp(self, u: np.ndarray, t: float) -> float:
-        return float(np.dot(self.W, np.abs(u) ** t))
-
-    def energy(self, u: np.ndarray) -> float:
-        ts, q, mu = self.ex.two_star, self.params.q, self.params.mu
-        return 0.5 * self.grad2(u) - self.lp(u, ts) / ts - mu / q * self.lp(u, q)
-
-    def pohozaev(self, u: np.ndarray) -> float:
-        ts, mu, gam = self.ex.two_star, self.params.mu, self.ex.gamma_q
-        return self.grad2(u) - self.lp(u, ts) - mu * gam * self.lp(u, self.params.q)
-
-    def nonlinear(self, u: np.ndarray) -> np.ndarray:
-        ts, q, mu = self.ex.two_star, self.params.q, self.params.mu
-        au = np.abs(u)
-        return au ** (ts - 2.0) * u + mu * au ** (q - 2.0) * u
-
-    def nonlinear_prime(self, u: np.ndarray) -> np.ndarray:
-        ts, q, mu = self.ex.two_star, self.params.q, self.params.mu
-        au = np.abs(u)
-        return (ts - 1.0) * au ** (ts - 2.0) + mu * (q - 1.0) * au ** (q - 2.0)
-
-    def precond_bands(self, alpha: float) -> np.ndarray:
-        ab = np.zeros((3, self.grid.n))
-        ab[0, 1:] = self.offA
-        ab[1, :] = alpha * self.W + self.diagA
-        ab[2, :-1] = self.offA
-        return ab
+def _norms(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGrid,
+           u: np.ndarray):
+    """(u.A.u, int |u|^2*, int |u|^q, the multiplier lambda at mass a)."""
+    g2 = grid.stiffness_quad(u)
+    s = lq_norm_pow(grid, u, ex.two_star)
+    h = lq_norm_pow(grid, u, params.q)
+    return g2, s, h, (g2 - s - params.mu * h) / params.a
 
 
-def _project_into_ball(disc: _Discretization, u: Profile, rho0: float,
-                       margin: float = 0.9) -> Profile:
+def _energy(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGrid,
+            u: np.ndarray) -> float:
+    g2, s, h, _ = _norms(params, ex, grid, u)
+    return 0.5 * g2 - s / ex.two_star - params.mu / params.q * h
+
+
+def _nonlinear(params: cst.ProblemParams, ex: cst.Exponents, u: np.ndarray) -> np.ndarray:
+    au = np.abs(u)
+    return au ** (ex.two_star - 2.0) * u + params.mu * au ** (params.q - 2.0) * u
+
+
+def _nonlinear_prime(params: cst.ProblemParams, ex: cst.Exponents,
+                     u: np.ndarray) -> np.ndarray:
+    ts, q = ex.two_star, params.q
+    au = np.abs(u)
+    return (ts - 1.0) * au ** (ts - 2.0) + params.mu * (q - 1.0) * au ** (q - 2.0)
+
+
+def _projected_gradient(params: cst.ProblemParams, ex: cst.Exponents,
+                        grid: RadialGrid, u: np.ndarray, lam: float):
+    """(g, ||g||_W): g = A u / W - N(u) - lam u, the energy gradient in the
+    weighted L^2 metric projected onto the tangent space of the mass sphere."""
+    W = grid.full_weights
+    g = grid.stiffness_apply(u) / W - _nonlinear(params, ex, u) - lam * u
+    return g, math.sqrt(float(np.dot(W, g * g)))
+
+
+def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
+                       rho0: float, margin: float = 0.9) -> Profile:
     """Dilate u (tau < 1) until ||grad u||^2 < margin * rho0, keeping mass."""
-    a = disc.params.a
-    vals = u.values * math.sqrt(a / disc.mass(u.values))
-    cur = Profile(disc.grid, vals)
+    a = params.a
+    cur = Profile(grid, u.values * math.sqrt(a / mass(grid, u)))
     for _ in range(8):
-        g2 = disc.grad2(cur.values)
+        g2 = grid.stiffness_quad(cur.values)
         if g2 < margin * rho0:
             return cur
         tau = math.sqrt(margin * rho0 / g2) * 0.98
         cur = rescale(cur, tau)
-        cur = Profile(disc.grid, cur.values * math.sqrt(a / disc.mass(cur.values)))
+        cur = Profile(grid, cur.values * math.sqrt(a / mass(grid, cur)))
     raise RuntimeError("could not dilate the initial profile into the kinetic ball")
 
 
-def _newton_polish(disc: _Discretization, u: np.ndarray, max_iter: int,
-                   target: float):
-    """Newton on (stationary equation, mass constraint); returns (u, ok)."""
-    W, a = disc.W, disc.params.a
+def _newton_polish(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGrid,
+                   u: np.ndarray, target: float):
+    """Newton on (stationary equation, mass constraint); returns (u, ok, res)."""
+    W, a = grid.full_weights, params.a
+    diag, off = grid.stiffness_bands()
     u = u.copy()
-    for _ in range(max_iter):
-        g2 = disc.grad2(u)
-        s = disc.lp(u, disc.ex.two_star)
-        h = disc.lp(u, disc.params.q)
-        lam = (g2 - s - disc.params.mu * h) / a
-        F = disc.amul(u) - W * (disc.nonlinear(u) + lam * u)
+    for _ in range(NEWTON_MAX):
+        *_, lam = _norms(params, ex, grid, u)
+        F = grid.stiffness_apply(u) - W * (_nonlinear(params, ex, u) + lam * u)
         res = math.sqrt(float(np.dot(F * F, 1.0 / W)))
         if res < target:
             return u, True, res
-        ab = np.zeros((3, disc.grid.n))
-        ab[0, 1:] = disc.offA
-        ab[1, :] = disc.diagA - W * (disc.nonlinear_prime(u) + lam)
-        ab[2, :-1] = disc.offA
         try:
-            X = sla.solve_banded((1, 1), ab, np.column_stack([-F, W * u]))
+            X = tridiag_solve(off, diag - W * (_nonlinear_prime(params, ex, u) + lam),
+                              np.column_stack([-F, W * u]))
         except np.linalg.LinAlgError:
             return u, False, res
         x, y = X[:, 0], X[:, 1]
         denom = 2.0 * float(np.dot(W * u, y))
         if denom == 0.0 or not np.isfinite(denom):
             return u, False, res
-        dlam = (-(disc.mass(u) - a) - 2.0 * float(np.dot(W * u, x))) / denom
+        dlam = (-(mass(grid, u) - a) - 2.0 * float(np.dot(W * u, x))) / denom
         du = x + dlam * y
         if not np.all(np.isfinite(du)):
             return u, False, res
@@ -154,8 +127,7 @@ def _newton_polish(disc: _Discretization, u: np.ndarray, max_iter: int,
 
 
 def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
-                   init: Profile | None = None,
-                   opts: SolveOptions | None = None,
+                   init: Profile | None = None, tol: float = 1e-8,
                    thresholds: cst.Thresholds | None = None) -> SolveReport:
     """Minimizer of E on the mass sphere inside the kinetic ball.
 
@@ -164,45 +136,38 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     multiplier.  The ball constraint is enforced by step rejection plus
     dilation retraction; it must be inactive at convergence, so an active
     constraint is reported via boundary_hit instead of being "solved".
+    Converged means residual < tol * max(1, |E|).
     """
-    opts = opts or SolveOptions()
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
         raise fnl.RegimeError(
             f"local minimization requires regime Omega1 or Omega2, got {thresholds.regime}")
     rho0 = thresholds.rho0
-    disc = _Discretization(params, grid)
+    ex = cst.exponents(params)
     a = params.a
 
     if init is None:
         init = profiles.gaussian(params, 1.0, grid)
-    u_prof = _project_into_ball(disc, init, rho0)
-    u = u_prof.values.astype(float)
+    u = _project_into_ball(params, grid, init, rho0).values.astype(float)
 
-    W = disc.W
-    ab = disc.precond_bands(opts.precond_shift)
-    E = disc.energy(u)
-    step = opts.step0
+    W = grid.full_weights
+    diag, off = grid.stiffness_bands()
+    precond_diag = PRECOND_SHIFT * W + diag
+    E = _energy(params, ex, grid, u)
+    step = STEP0
     trace = []
     boundary_hit = False
     res = math.inf
     it = 0
-    for it in range(opts.max_iter):
-        g2 = disc.grad2(u)
-        s = disc.lp(u, disc.ex.two_star)
-        h = disc.lp(u, params.q)
-        lam = (g2 - s - params.mu * h) / a
-        raw = disc.amul(u) / W - disc.nonlinear(u)
-        gproj = raw - lam * u
-        res = math.sqrt(float(np.dot(W, gproj * gproj)))
-        P = g2 - s - params.mu * disc.ex.gamma_q * h
+    for it in range(MAX_ITER):
+        g2, s, h, lam = _norms(params, ex, grid, u)
+        gproj, res = _projected_gradient(params, ex, grid, u, lam)
+        P = g2 - s - params.mu * ex.gamma_q * h
         trace.append((it, E, P, g2))
-        if res < opts.tol * max(1.0, abs(E)):
+        if res < max(tol, NEWTON_SWITCH) * max(1.0, abs(E)):
             break
-        if opts.newton and res < opts.newton_switch * max(1.0, abs(E)):
-            break
-        d = sla.solve_banded((1, 1), ab, W * gproj)
+        d = tridiag_solve(off, precond_diag, W * gproj)
         d -= (float(np.dot(W, u * d)) / a) * u
         dd = float(np.dot(W, gproj * d))
         if dd <= 0.0:
@@ -211,13 +176,13 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         rejected_boundary = 0
         for _ in range(60):
             v = u - step * d
-            v *= math.sqrt(a / disc.mass(v))
-            if disc.grad2(v) >= rho0:
+            v *= math.sqrt(a / mass(grid, v))
+            if grid.stiffness_quad(v) >= rho0:
                 rejected_boundary += 1
                 step *= 0.5
                 continue
-            Ev = disc.energy(v)
-            if Ev <= E - opts.armijo * step * dd:
+            Ev = _energy(params, ex, grid, v)
+            if Ev <= E - ARMIJO * step * dd:
                 accepted = True
                 break
             step *= 0.5
@@ -226,37 +191,26 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                 boundary_hit = True
             break
         u, E = v, Ev
-        step = min(step * 1.5, opts.step_max)
+        step = min(step * 1.5, STEP_MAX)
 
-    newton_res = res
-    converged = res < opts.tol * max(1.0, abs(E))
-    n_newton = 0
-    if opts.newton and not boundary_hit:
-        target = opts.tol * max(1.0, abs(E))
-        u_new, ok, newton_res = _newton_polish(disc, u, opts.newton_max, 0.01 * target)
-        if ok and disc.grad2(u_new) < rho0:
+    converged = res < tol * max(1.0, abs(E))
+    if not boundary_hit:
+        target = tol * max(1.0, abs(E))
+        u_new, ok, _ = _newton_polish(params, ex, grid, u, 0.01 * target)
+        if ok and grid.stiffness_quad(u_new) < rho0:
             # recompute the projected residual actually reported
-            g2 = disc.grad2(u_new)
-            s = disc.lp(u_new, disc.ex.two_star)
-            h = disc.lp(u_new, params.q)
-            lam = (g2 - s - params.mu * h) / a
-            gproj = disc.amul(u_new) / W - disc.nonlinear(u_new) - lam * u_new
-            res_new = math.sqrt(float(np.dot(W, gproj * gproj)))
+            *_, lam = _norms(params, ex, grid, u_new)
+            _, res_new = _projected_gradient(params, ex, grid, u_new, lam)
             if res_new < res:
                 u, res = u_new, res_new
-                E = disc.energy(u)
-                converged = res < opts.tol * max(1.0, abs(E))
-                n_newton = opts.newton_max
+                E = _energy(params, ex, grid, u)
+                converged = res < tol * max(1.0, abs(E))
 
-    g2 = disc.grad2(u)
-    s = disc.lp(u, disc.ex.two_star)
-    h = disc.lp(u, params.q)
-    lam = (g2 - s - params.mu * h) / a
-    P = g2 - s - params.mu * disc.ex.gamma_q * h
-    final = Profile(grid, u)
+    g2, s, h, lam = _norms(params, ex, grid, u)
+    P = g2 - s - params.mu * ex.gamma_q * h
     if np.dot(W, u) < 0.0:   # sign normalization
-        final = Profile(grid, -u)
-    return SolveReport(final=final, energy=E, pohozaev=P, lam=lam,
+        u = -u
+    return SolveReport(final=Profile(grid, u), energy=E, pohozaev=P, lam=lam,
                        grad_residual=res, iterations=it + 1,
                        trace=trace, boundary_hit=boundary_hit,
                        converged=converged and not boundary_hit)
@@ -272,20 +226,20 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
         raise fnl.RegimeError("boundary scan requires regime Omega1 or Omega2")
     rho0 = thresholds.rho0
-    disc = _Discretization(params, grid)
+    ex = cst.exponents(params)
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
         trial = profiles.random_trial(rng)
         p = trial.profile(grid, params.a)
-        tau = math.sqrt(rho0 / disc.grad2(p.values))
+        tau = math.sqrt(rho0 / grid.stiffness_quad(p.values))
         for _ in range(12):
             p = trial.profile(grid, params.a, tau=tau)
-            g2 = disc.grad2(p.values)
+            g2 = grid.stiffness_quad(p.values)
             if abs(g2 / rho0 - 1.0) < 1e-7:
                 break
             tau *= math.sqrt(rho0 / g2)
-        best = min(best, disc.energy(p.values))
+        best = min(best, _energy(params, ex, grid, p.values))
     return best
 
 
@@ -298,14 +252,14 @@ class SubadditivityReport:
 
 
 def subadditivity_check(params: cst.ProblemParams, grid: RadialGrid, a1: float,
-                        opts: SolveOptions | None = None) -> SubadditivityReport:
+                        tol: float = 1e-8) -> SubadditivityReport:
     """Compare m_a with m_a1 + m_(a-a1) by three independent solves."""
     if not (0.0 < a1 < params.a):
         raise ValueError("a1 must lie strictly between 0 and a")
     m = {}
     for key, aa in (("a", params.a), ("a1", a1), ("rest", params.a - a1)):
         sub = params.with_mass(aa)
-        rep = minimize_local(sub, grid, opts=opts)
+        rep = minimize_local(sub, grid, tol=tol)
         if not rep.converged:
             raise RuntimeError(f"sub-run for mass {aa} did not converge "
                                f"(residual {rep.grad_residual:.2e})")

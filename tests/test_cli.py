@@ -16,7 +16,7 @@ FAST = ["--grid-n", "2048", "--r-max", "30"]
 
 def test_constants_auto_a0_is_borderline(capsys):
     code, out = run_cli(["constants", "--dim", "3", "--q", "2.5", "--mu", "1",
-                         "--a", "auto-a0", "--json"], capsys)
+                         "--a", "auto-a0"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["schema_version"] == 1
@@ -200,7 +200,7 @@ def test_repeat_runs_byte_identical(args, capsys):
 def test_runconfig_json_roundtrip():
     cfg = cli.RunConfig(command="fiber", dim=4, q="10/3", mu=0.5, a_spec="2a0",
                         grid_n=1024, r_max=20.0, grading=1.0, origin_blend=0.25,
-                        tol=1e-9, seed=7, out_path=None, out_format="json",
+                        tol=1e-9, out_path=None, out_format="json",
                         extra={"profile": "x.json"})
     again = cli.RunConfig.from_json(cfg.to_json())
     assert again == cfg

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nlscrit as nc
-from nlscrit.grid import lq_norm_pow, profile_from_dict, profile_to_dict
+from nlscrit.grid import (lq_norm_pow, profile_from_dict, profile_to_dict,
+                          tridiag_solve)
 
 
 def gauss_profile(grid, sigma=1.0):
@@ -119,6 +120,54 @@ def test_grad_l2_sq_plateau_interior_zero():
 
     exact = 4.0 * math.pi * quad(du_sq, 5.0, 10.0, limit=200)[0]
     assert nc.grad_l2_sq(g, u) == pytest.approx(exact, rel=1e-5)
+
+
+def dense_stiffness(grid):
+    d, off = grid.stiffness_bands()
+    return np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def test_stiffness_apply_and_quad_match_dense():
+    g = nc.make_grid(3, 20.0, 256, grading=1.0)
+    A = dense_stiffness(g)
+    real = np.exp(-g.nodes**2 / 2.0)
+    for u in (real, real * np.exp(0.3j * g.nodes)):
+        # each row has three terms, summed in another order by the matmul
+        bound = 1e-14 * (np.abs(A) @ np.abs(u))
+        assert np.all(np.abs(g.stiffness_apply(u) - A @ u) <= bound)
+        assert g.stiffness_quad(u) == pytest.approx(nc.grad_l2_sq(g, u), rel=1e-13)
+
+
+def test_tridiag_solve_matches_dense():
+    g = nc.make_grid(3, 10.0, 64)
+    d, off = g.stiffness_bands()
+    W = g.full_weights
+    A = dense_stiffness(g)
+    u = np.exp(-g.nodes**2)
+    # descent preconditioner (W + A) and a Cayley system W + i dt/2 (A - W ups)
+    idt2 = 0.5j * 1e-2
+    ups = 3.0 * u
+    cayley = np.diag(W) + idt2 * (A - np.diag(W * ups))
+    systems = [(off, W + d, np.diag(W) + A, W * u),
+               (idt2 * off, W + idt2 * (d - W * ups), cayley, W * u + 0.5j * u),
+               (off, d - W * u, A - np.diag(W * u), np.column_stack([u, W * u]))]
+    for o, diag, dense, rhs in systems:
+        x = tridiag_solve(o, diag, rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=0)
+
+
+def test_tridiag_solve_rejects_nonfinite_and_singular():
+    n = 16
+    off, diag, rhs = np.ones(n - 1), np.full(n, 4.0), np.ones(n)
+    for bad in (off, diag, rhs):
+        nan_copy = bad.copy()
+        nan_copy[3] = np.nan
+        args = [nan_copy if a is bad else a for a in (off, diag, rhs)]
+        with pytest.raises(ValueError):
+            tridiag_solve(*args)
+    with pytest.raises(np.linalg.LinAlgError):
+        tridiag_solve(np.zeros(n - 1), np.zeros(n), rhs)
 
 
 def test_rescale_identity_and_errors():
