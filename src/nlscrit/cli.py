@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every command writes exactly one JSON document (or one CSV table for
-`sweep`/`evolve --csv`) to stdout or to --out.  Exit codes: 0 success,
-1 domain error (reported as an error JSON), 2 usage error.  All outputs
-are deterministic: the same arguments give the same bytes; no timestamps,
-no machine state.
+argparse parses straight into the commands: each subcommand registers only
+the flags it reads and dispatches to its `_cmd_*` function, which takes the
+parsed namespace.  Every command writes exactly one JSON document (or one
+CSV table for `sweep`/`evolve --csv`) to stdout or to --out.  Exit codes:
+0 success, 1 domain error (reported as an error JSON), 2 usage error.  All
+outputs are deterministic: the same arguments give the same bytes; no
+timestamps, no machine state.
 
 Masses can be given in the problem's natural normalizations:
 `--a auto-a0`, `--a 0.5a0` (any multiple of the threshold mass), or a
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,34 +38,14 @@ SCHEMA_VERSION = 1
 
 
 class DomainError(RuntimeError):
-    def __init__(self, kind: str, message: str, context: dict | None = None):
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.context = context or {}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    dim: int = 3
-    q: str = "2.5"
-    mu: float = 1.0
-    a_spec: str = "auto-a0"
-    grid_n: int = 8192
-    r_max: float = 50.0
-    grading: float = 0.0
-    origin_blend: float = 0.0
-    tol: float = 1e-8
-    out_path: str | None = None
-    out_format: str = "json"
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+# default sequence items of `cpo`; --steps k keeps the first k
+CPO_N_VALUES = (5.0, 10.0, 20.0, 40.0)   # case 1: cutoff radii
+CPO_A_VALUES = (0.1, 0.01, 0.001)        # case 2: offsets A_n
 
 
 def _jsonable(obj):
@@ -85,8 +66,7 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(doc), indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -94,21 +74,27 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_mass(cfg: RunConfig) -> cst.ProblemParams:
-    qtext = cfg.q
+def _emit(doc: dict, out_path: str | None) -> None:
+    _write(json.dumps(_jsonable(doc), indent=2) + "\n", out_path)
+
+
+def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
+    qtext = args.q
     if qtext == "auto":   # mass-critical exponent for this dimension
         from fractions import Fraction
-        qtext = str(Fraction(2) + Fraction(4, cfg.dim))
+        qtext = str(Fraction(2) + Fraction(4, args.dim))
     qval, qexact = cst.parse_q(qtext)
-    probe = cst.ProblemParams(cfg.dim, qval, cfg.mu, 1.0, qexact)
-    mass_text = cfg.a_spec.strip()
-    mult = cfg.extra.get("mass_multiple")
+    probe = cst.ProblemParams(args.dim, qval, args.mu, 1.0, qexact)
+    mass_text = args.a.strip()
+    mult = args.mass_multiple
     if mult is not None:
+        if not (math.isfinite(mult) and mult > 0.0):
+            raise DomainError("usage", "--mass-multiple must be positive and finite")
         if not cst.is_critical(probe):
             raise DomainError("usage", "--mass-multiple requires q = 2 + 4/N")
         ab = cst.abar(probe, cst.gn_constant(probe))
         ex = cst.exponents(probe)
-        a = (float(mult) * ab / cfg.mu) ** (2.0 / (probe.q * (1.0 - ex.gamma_q)))
+        a = (mult * ab / args.mu) ** (2.0 / (probe.q * (1.0 - ex.gamma_q)))
         return probe.with_mass(a)
     if mass_text.endswith("a0"):
         head = mass_text[:-2].strip()
@@ -119,16 +105,16 @@ def _resolve_mass(cfg: RunConfig) -> cst.ProblemParams:
         if cst.is_critical(probe):
             raise DomainError("usage", "a0 is undefined at the mass-critical exponent; "
                                        "use --mass-multiple instead")
-        S = cst.sobolev_constant(cfg.dim)
+        S = cst.sobolev_constant(args.dim)
         C = cst.gn_constant(probe)
         a0 = cst.critical_mass_a0(probe, S, C)
         return probe.with_mass(k * a0)
     return probe.with_mass(float(mass_text))
 
 
-def _make_grid(cfg: RunConfig) -> gridmod.RadialGrid:
-    return gridmod.make_grid(cfg.dim, cfg.r_max, cfg.grid_n, cfg.grading,
-                             cfg.origin_blend)
+def _make_grid(args: argparse.Namespace) -> gridmod.RadialGrid:
+    return gridmod.make_grid(args.dim, args.r_max, args.grid_n, args.grading,
+                             args.origin_blend)
 
 
 def _downsample(seq, cap: int = 256):
@@ -142,8 +128,8 @@ def _downsample(seq, cap: int = 256):
 # ---------------------------------------------------------------------------
 # command implementations
 
-def _cmd_constants(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
+def _cmd_constants(args: argparse.Namespace) -> dict:
+    params = _resolve_mass(args)
     ex = cst.exponents(params)
     thr = cst.thresholds(params)
     return {
@@ -157,32 +143,29 @@ def _cmd_constants(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_profile(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
-    g = _make_grid(cfg)
-    kind = cfg.extra["kind"]
-    if kind == "weinstein":
+def _cmd_profile(args: argparse.Namespace) -> dict:
+    params = _resolve_mass(args)
+    g = _make_grid(args)
+    if args.kind == "weinstein":
         p = profiles.weinstein_ground_state(params.dim, params.q, g)
-    elif kind == "bubble":
-        p = profiles.aubin_talenti(params.dim, cfg.extra.get("b", 1.0), g)
-    elif kind == "gaussian":
-        p = profiles.gaussian(params, cfg.extra.get("sigma", 1.0), g)
+    elif args.kind == "bubble":
+        p = profiles.aubin_talenti(params.dim, args.b, g)
     else:
-        raise DomainError("usage", f"unknown profile kind {kind!r}")
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
+        p = profiles.gaussian(params, args.sigma, g)
+    doc = {"schema_version": SCHEMA_VERSION, "kind": args.kind}
     doc.update(gridmod.profile_to_dict(p))
     return doc
 
 
-def _load_profile_arg(path: str, cfg: RunConfig) -> gridmod.Profile:
+def _load_profile_arg(path: str, args: argparse.Namespace) -> gridmod.Profile:
     if path.endswith(".csv"):
-        return gridmod.load_profile_csv(path, _make_grid(cfg))
+        return gridmod.load_profile_csv(path, _make_grid(args))
     return gridmod.load_profile(path)
 
 
-def _cmd_fiber(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
-    u = _load_profile_arg(cfg.extra["profile"], cfg)
+def _cmd_fiber(args: argparse.Namespace) -> dict:
+    params = _resolve_mass(args)
+    u = _load_profile_arg(args.profile, args)
     g = u.grid
     # place the loaded profile on the mass sphere before analysis
     u = gridmod.Profile(g, u.values * math.sqrt(params.a / gridmod.mass(g, u)))
@@ -197,10 +180,10 @@ def _cmd_fiber(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_minimize(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
-    g = _make_grid(cfg)
-    rep = minmod.minimize_local(params, g, tol=cfg.tol)
+def _cmd_minimize(args: argparse.Namespace) -> dict:
+    params = _resolve_mass(args)
+    g = _make_grid(args)
+    rep = minmod.minimize_local(params, g, tol=args.tol)
     return {
         "schema_version": SCHEMA_VERSION,
         "energy": rep.energy, "pohozaev": rep.pohozaev, "lambda": rep.lam,
@@ -211,19 +194,18 @@ def _cmd_minimize(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_subadd(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
-    g = _make_grid(cfg)
-    a1 = cfg.extra.get("a1")
-    a1 = params.a / 2.0 if a1 is None else float(a1)
-    rep = minmod.subadditivity_check(params, g, a1, tol=cfg.tol)
+def _cmd_subadd(args: argparse.Namespace) -> dict:
+    params = _resolve_mass(args)
+    g = _make_grid(args)
+    a1 = params.a / 2.0 if args.a1 is None else args.a1
+    rep = minmod.subadditivity_check(params, g, a1, tol=args.tol)
     return {"schema_version": SCHEMA_VERSION, "a1": a1,
             "m_a": rep.m_a, "m_a1": rep.m_a1, "m_rest": rep.m_rest, "gap": rep.gap}
 
 
-def _cmd_mountain_pass(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
-    g = _make_grid(cfg)
+def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
+    params = _resolve_mass(args)
+    g = _make_grid(args)
     est = mp.estimate_mp_level(params, g)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -233,33 +215,28 @@ def _cmd_mountain_pass(cfg: RunConfig) -> dict:
         "witness_pohozaev": fnl.pohozaev(params, g, est.witness),
         "family_trace": _downsample(est.family_trace),
     }
-    wout = cfg.extra.get("witness_out")
-    if wout:
-        gridmod.save_profile(wout, est.witness)
-        doc["witness_path"] = wout
-    tcsv = cfg.extra.get("trace_csv")
-    if tcsv:
-        with open(tcsv, "w", encoding="utf-8", newline="") as fh:
+    if args.witness_out:
+        gridmod.save_profile(args.witness_out, est.witness)
+        doc["witness_path"] = args.witness_out
+    if args.trace_csv:
+        with open(args.trace_csv, "w", encoding="utf-8", newline="") as fh:
             wr = csv.writer(fh, lineterminator="\n")
             wr.writerow(["bubble_width", "amplitude", "projected_energy"])
             for (b, s), lev in est.family_trace:
                 wr.writerow([repr(float(b)), repr(float(s)), repr(float(lev))])
-        doc["trace_path"] = tcsv
+        doc["trace_path"] = args.trace_csv
     return doc
 
 
-def _cmd_cpo(cfg: RunConfig) -> dict:
-    params = _resolve_mass(cfg)
-    g = _make_grid(cfg)
-    case = int(cfg.extra["case"])
-    if case == 1:
-        n_values = cfg.extra.get("n_values") or [5.0, 10.0, 20.0, 40.0]
-        rep = mp.cpo_sequence_case1(params, g, n_values)
-    elif case == 2:
-        a_values = cfg.extra.get("a_values") or [0.1, 0.01, 0.001]
-        rep = mp.cpo_sequence_case2(params, g, a_values)
+def _cmd_cpo(args: argparse.Namespace) -> dict:
+    if args.steps is not None and args.steps < 1:
+        raise DomainError("usage", "--steps must be at least 1")
+    params = _resolve_mass(args)
+    g = _make_grid(args)
+    if args.case == 1:
+        rep = mp.cpo_sequence_case1(params, g, args.n_values or CPO_N_VALUES[:args.steps])
     else:
-        raise DomainError("usage", "--case must be 1 or 2")
+        rep = mp.cpo_sequence_case2(params, g, args.a_values or CPO_A_VALUES[:args.steps])
     return {
         "schema_version": SCHEMA_VERSION, "case": rep.case,
         "parameters": rep.parameters, "ratios": rep.ratios,
@@ -269,20 +246,18 @@ def _cmd_cpo(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_evolve(cfg: RunConfig):
-    params = _resolve_mass(cfg)
-    u = _load_profile_arg(cfg.extra["init"], cfg)
+def _cmd_evolve(args: argparse.Namespace):
+    params = _resolve_mass(args)
+    u = _load_profile_arg(args.init, args)
     g = u.grid
-    dt = cfg.extra.get("dt", 2e-3)
-    t_end = cfg.extra.get("t_end", 1.0)
-    probe = cfg.extra.get("probe", "none")
-    if probe == "stability":
-        rep = dyn.stability_probe(params, g, u, cfg.extra.get("eps", 1e-2), t_end, dt=dt)
+    dt, t_end = args.dt, args.t_end
+    if args.probe == "stability":
+        rep = dyn.stability_probe(params, g, u, args.eps, t_end, dt=dt)
         summary = rep.summary
         head = {"probe": "stability", "initial_distance": rep.initial_distance,
                 "max_distance": rep.max_distance, "growth_factor": rep.growth_factor}
-    elif probe == "blowup":
-        rep = dyn.blowup_probe(params, g, u, cfg.extra.get("amp", 1.05), t_end, dt=dt)
+    elif args.probe == "blowup":
+        rep = dyn.blowup_probe(params, g, u, args.amp, t_end, dt=dt)
         summary = rep.summary
         head = {"probe": "blowup", "blowup_flag": rep.blowup_flag,
                 "blowup_time": rep.blowup_time, "grad_growth": rep.grad_growth}
@@ -291,7 +266,7 @@ def _cmd_evolve(cfg: RunConfig):
         summary = dyn.evolve(params, g, psi0, dt, t_end, reference=u)
         head = {"probe": "none", "blowup_flag": summary.blowup_flag,
                 "blowup_time": summary.blowup_time}
-    if cfg.out_format == "csv":
+    if args.csv:
         buf = io.StringIO()
         wr = csv.writer(buf, lineterminator="\n")
         wr.writerow(["t", "mass", "energy", "grad_norm", "h1_distance"])
@@ -329,23 +304,22 @@ def _sweep_point(params, g, with_ma, with_level, tol):
     return row
 
 
-def _cmd_sweep(cfg: RunConfig):
-    qval, qexact = cst.parse_q(cfg.q)
-    mu_lo, mu_hi, mu_n = cfg.extra["mu_range"]
-    a_lo, a_hi, a_n = cfg.extra["a_rel_range"]
-    with_ma = bool(cfg.extra.get("with_ma", False))
-    with_level = bool(cfg.extra.get("with_level", False))
-    g = _make_grid(cfg) if (with_ma or with_level) else None
-    base = cst.ProblemParams(cfg.dim, qval, 1.0, 1.0, qexact)
-    S = cst.sobolev_constant(cfg.dim)
+def _cmd_sweep(args: argparse.Namespace):
+    qval, qexact = cst.parse_q(args.q)
+    mu_lo, mu_hi, mu_n = args.mu_range
+    a_lo, a_hi, a_n = args.a_rel_range
+    with_ma, with_level = args.with_ma, args.with_level
+    g = _make_grid(args) if (with_ma or with_level) else None
+    base = cst.ProblemParams(args.dim, qval, 1.0, 1.0, qexact)
+    S = cst.sobolev_constant(args.dim)
     C = cst.gn_constant(base)
     points = []
-    for mu in np.linspace(mu_lo, mu_hi, int(mu_n)):
-        pm = cst.ProblemParams(cfg.dim, qval, float(mu), 1.0, qexact)
+    for mu in np.linspace(mu_lo, mu_hi, mu_n):
+        pm = cst.ProblemParams(args.dim, qval, float(mu), 1.0, qexact)
         a0 = cst.critical_mass_a0(pm, S, C)
-        for rel in np.linspace(a_lo, a_hi, int(a_n)):
+        for rel in np.linspace(a_lo, a_hi, a_n):
             points.append(pm.with_mass(float(rel) * a0))
-    rows = [_sweep_point(p, g, with_ma, with_level, cfg.tol) for p in points]
+    rows = [_sweep_point(p, g, with_ma, with_level, args.tol) for p in points]
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["mu", "a", "regime", "m_a", "level", "error"])
@@ -358,21 +332,28 @@ def _cmd_sweep(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser, grid_defaults=(8192, 50.0, 0.0)):
+def _add_problem(p: argparse.ArgumentParser, mass: bool = True) -> None:
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--q", type=str, default="2.5")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--a", type=str, default="auto-a0",
-                   help="mass: number, 'auto-a0', or '<k>a0'")
-    p.add_argument("--mass-multiple", type=float, default=None,
-                   help="critical q: set mu a^(q(1-gamma)/2) = k * abar_N")
-    p.add_argument("--grid-n", type=int, default=grid_defaults[0])
-    p.add_argument("--r-max", type=float, default=grid_defaults[1])
-    p.add_argument("--grading", type=float, default=grid_defaults[2])
+    if mass:
+        p.add_argument("--mu", type=float, default=1.0)
+        p.add_argument("--a", type=str, default="auto-a0",
+                       help="mass: number, 'auto-a0', or '<k>a0'")
+        p.add_argument("--mass-multiple", type=float, default=None,
+                       help="critical q: set mu a^(q(1-gamma)/2) = k * abar_N")
+    p.add_argument("--out", type=str, default=None)
+
+
+def _add_grid(p: argparse.ArgumentParser, r_max: float = 50.0) -> None:
+    p.add_argument("--grid-n", type=int, default=8192)
+    p.add_argument("--r-max", type=float, default=r_max)
+    p.add_argument("--grading", type=float, default=0.0)
     p.add_argument("--origin-blend", type=float, default=0.0,
                    help="blend toward uniform spacing at the origin (evolution grids)")
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out", type=str, default=None)
 
 
 def _parse_range(text: str):
@@ -380,47 +361,71 @@ def _parse_range(text: str):
     return float(lo), float(hi), int(n)
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nlscrit")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: on `sweep`, `--mu` must not silently mean `--mu-range`
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("constants", help="exponents, sharp constants, thresholds, regime")
-    _add_common(p)
+    p = add("constants", help="exponents, sharp constants, thresholds, regime")
+    _add_problem(p)
+    p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("profile", help="write a named profile as JSON")
-    _add_common(p)
+    p = add("profile", help="write a named profile as JSON")
+    _add_problem(p)
+    _add_grid(p)
     p.add_argument("--kind", choices=("weinstein", "bubble", "gaussian"), required=True)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
+    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("fiber", help="fiber-map critical points of a stored profile")
-    _add_common(p)
+    p = add("fiber", help="fiber-map critical points of a stored profile")
+    _add_problem(p)
+    _add_grid(p)
     p.add_argument("--profile", type=str, required=True)
+    p.set_defaults(func=_cmd_fiber)
 
-    p = sub.add_parser("minimize", help="local minimizer on the mass sphere")
-    _add_common(p)
+    p = add("minimize", help="local minimizer on the mass sphere")
+    _add_problem(p)
+    _add_grid(p)
+    _add_tol(p)
+    p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("subadd", help="subadditivity gap of the local minima")
-    _add_common(p)
+    p = add("subadd", help="subadditivity gap of the local minima")
+    _add_problem(p)
+    _add_grid(p)
+    _add_tol(p)
     p.add_argument("--a1", type=float, default=None)
+    p.set_defaults(func=_cmd_subadd)
 
-    p = sub.add_parser("mountain-pass", help="upper estimate of the mountain-pass level")
-    _add_common(p)
+    p = add("mountain-pass", help="upper estimate of the mountain-pass level")
+    _add_problem(p)
+    _add_grid(p)
     p.add_argument("--witness-out", type=str, default=None)
     p.add_argument("--trace-csv", type=str, default=None,
                    help="write the family trace (b, s, level) as CSV")
+    p.set_defaults(func=_cmd_mountain_pass)
 
-    p = sub.add_parser("cpo", help="vanishing-infimum sequences at critical q")
-    _add_common(p, grid_defaults=(8192, 200.0, 0.0))
-    p.set_defaults(q="auto", a="1.0")   # q = 2 + 4/N; case 1 rebuilds the mass
+    p = add("cpo", help="vanishing-infimum sequences at critical q")
+    _add_problem(p)
+    _add_grid(p, r_max=200.0)
     p.add_argument("--case", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n-values", type=str, default=None, help="comma list of cutoff radii")
-    p.add_argument("--a-values", type=str, default=None, help="comma list of offsets A_n")
+    p.add_argument("--n-values", type=_float_list, default=None,
+                   help="comma list of cutoff radii")
+    p.add_argument("--a-values", type=_float_list, default=None,
+                   help="comma list of offsets A_n")
     p.add_argument("--steps", type=int, default=None,
                    help="use the first k default sequence items")
+    # q = 2 + 4/N; case 1 rebuilds the mass
+    p.set_defaults(func=_cmd_cpo, q="auto", a="1.0")
 
-    p = sub.add_parser("evolve", help="time evolution / stability / blow-up probes")
-    _add_common(p)
+    p = add("evolve", help="time evolution / stability / blow-up probes")
+    _add_problem(p)
+    _add_grid(p)
     p.add_argument("--init", type=str, required=True)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--t-end", type=float, default=1.0)
@@ -428,88 +433,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--amp", type=float, default=1.05)
     p.add_argument("--csv", action="store_true")
+    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("sweep", help="regime atlas over (mu, a)")
-    _add_common(p)
-    p.add_argument("--mu-range", type=str, required=True, help="lo:hi:n")
-    p.add_argument("--a-rel-range", type=str, required=True,
+    p = add("sweep", help="regime atlas over (mu, a)")
+    _add_problem(p, mass=False)
+    _add_grid(p)
+    _add_tol(p)
+    p.add_argument("--mu-range", type=_parse_range, required=True, help="lo:hi:n")
+    p.add_argument("--a-rel-range", type=_parse_range, required=True,
                    help="lo:hi:n in multiples of a0(mu)")
     p.add_argument("--with-ma", action="store_true")
     p.add_argument("--with-level", action="store_true")
+    p.set_defaults(func=_cmd_sweep)
     return ap
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("kind", "b", "sigma", "profile", "a1", "witness_out",
-                "trace_csv", "case", "init", "dt", "t_end", "probe", "eps",
-                "amp", "with_ma", "with_level"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            extra[key] = getattr(args, key)
-    if getattr(args, "mass_multiple", None) is not None:
-        extra["mass_multiple"] = args.mass_multiple
-    if getattr(args, "n_values", None):
-        extra["n_values"] = [float(x) for x in args.n_values.split(",")]
-    if getattr(args, "a_values", None):
-        extra["a_values"] = [float(x) for x in args.a_values.split(",")]
-    if getattr(args, "steps", None):
-        extra["steps"] = args.steps
-    if getattr(args, "mu_range", None):
-        extra["mu_range"] = _parse_range(args.mu_range)
-    if getattr(args, "a_rel_range", None):
-        extra["a_rel_range"] = _parse_range(args.a_rel_range)
-    fmt = "csv" if getattr(args, "csv", False) or args.command == "sweep" else "json"
-    return RunConfig(command=args.command, dim=args.dim, q=args.q, mu=args.mu,
-                     a_spec=args.a, grid_n=args.grid_n, r_max=args.r_max,
-                     grading=args.grading, origin_blend=args.origin_blend,
-                     tol=args.tol,
-                     out_path=args.out, out_format=fmt, extra=extra)
-
-
-_COMMANDS = {
-    "constants": _cmd_constants,
-    "profile": _cmd_profile,
-    "fiber": _cmd_fiber,
-    "minimize": _cmd_minimize,
-    "subadd": _cmd_subadd,
-    "mountain-pass": _cmd_mountain_pass,
-    "cpo": _cmd_cpo,
-    "evolve": _cmd_evolve,
-    "sweep": _cmd_sweep,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    try:
-        if cfg.command == "cpo" and cfg.extra.get("steps"):
-            k = int(cfg.extra["steps"])
-            if int(cfg.extra["case"]) == 1:
-                cfg.extra.setdefault("n_values", [5.0, 10.0, 20.0, 40.0][:k])
-            else:
-                cfg.extra.setdefault("a_values", [0.1, 0.01, 0.001][:k])
-        result = _COMMANDS[cfg.command](cfg)
-    except (DomainError, fnl.RegimeError, fnl.StructuralAnomalyError,
-            profiles.ShootingError, ValueError, RuntimeError) as exc:
-        err = {"schema_version": SCHEMA_VERSION,
-               "error_kind": getattr(exc, "kind", type(exc).__name__),
-               "message": str(exc),
-               "context": getattr(exc, "context", {"command": cfg.command})}
-        _emit(err, cfg.out_path)
-        return 1
-    if isinstance(result, str):   # CSV payloads
-        if cfg.out_path:
-            with open(cfg.out_path, "w", encoding="utf-8") as fh:
-                fh.write(result)
-        else:
-            sys.stdout.write(result)
-        return 0
-    _emit(result, cfg.out_path)
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        result = args.func(args)
+    except (ValueError, RuntimeError, OSError) as exc:
+        _emit({"schema_version": SCHEMA_VERSION,
+               "error_kind": getattr(exc, "kind", type(exc).__name__),
+               "message": str(exc), "context": {"command": args.command}}, args.out)
+        return 1
+    if isinstance(result, str):   # CSV payloads
+        _write(result, args.out)
+    else:
+        _emit(result, args.out)
+    return 0
 
 
 if __name__ == "__main__":

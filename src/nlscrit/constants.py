@@ -63,6 +63,8 @@ class ProblemParams:
             raise ValueError("mu must be positive")
         if self.a <= 0.0:
             raise ValueError("a (mass) must be positive")
+        if not (math.isfinite(self.mu) and math.isfinite(self.a)):
+            raise ValueError(f"mu and a must be finite, got mu={self.mu}, a={self.a}")
 
     def with_mass(self, a: float) -> "ProblemParams":
         return ProblemParams(self.dim, self.q, self.mu, a, self.q_exact)

@@ -359,6 +359,8 @@ def load_profile_csv(path: str, grid: RadialGrid) -> Profile:
                 continue
             rs.append(float(row[0]))
             vs.append(float(row[1]))
+    if not rs:
+        raise ValueError(f"{path}: no 'r,value' data rows")
     rs = np.asarray(rs)
     vs = np.asarray(vs)
     order = np.argsort(rs)

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -197,15 +199,6 @@ def test_repeat_runs_byte_identical(args, capsys):
     assert out1 == out2
 
 
-def test_runconfig_json_roundtrip():
-    cfg = cli.RunConfig(command="fiber", dim=4, q="10/3", mu=0.5, a_spec="2a0",
-                        grid_n=1024, r_max=20.0, grading=1.0, origin_blend=0.25,
-                        tol=1e-9, out_path=None, out_format="json",
-                        extra={"profile": "x.json"})
-    again = cli.RunConfig.from_json(cfg.to_json())
-    assert again == cfg
-
-
 def test_schema_version_everywhere(tmp_path, capsys):
     prof = tmp_path / "g.json"
     cmds = [
@@ -219,3 +212,50 @@ def test_schema_version_everywhere(tmp_path, capsys):
         if out:
             assert json.loads(out)["schema_version"] == 1
     assert json.loads(prof.read_text())["schema_version"] == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["constants", "--mu", "1", "--a", "inf"],
+    ["constants", "--mu", "nan", "--a", "1.0"],
+    ["constants", "--dim", "3", "--q", "auto", "--mass-multiple", "-2"],
+    ["cpo", "--case", "1", "--dim", "4", "--steps", "0"],
+    ["fiber", "--profile", "missing.json", "--a", "1.0"],
+    ["evolve", "--init", "empty.csv", "--a", "1.0", "--grid-n", "256"],
+])
+def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.csv").write_text("r,value\n")
+    code, out = run_cli(args, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] and doc["context"] == {"command": args[0]}
+
+
+@pytest.mark.parametrize("args", [
+    ["constants", "--grid-n", "1024"],
+    ["mountain-pass", "--tol", "1e-6"],
+    ["sweep", "--mu-range", "1:2:2", "--a-rel-range", "0.5:1:2", "--mu", "2"],
+    ["sweep", "--mu-range", "1:2:2", "--a-rel-range", "0.5:1:2", "--a", "0.5:1:2"],
+    ["sweep", "--mu-range", "1:2", "--a-rel-range", "0.5:1:2"],
+    ["cpo", "--case", "1", "--n-values", "3,x"],
+])
+def test_unread_or_malformed_flags_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+
+
+def test_readme_examples_parse():
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples, cmd = [], ""
+    for line in lines:
+        if cmd or line.startswith("    nlscrit "):
+            cmd += " " + line.strip().rstrip("\\")
+            if not line.endswith("\\"):
+                examples.append(cmd)
+                cmd = ""
+    assert len(examples) >= 10
+    parser = cli.build_parser()
+    for text in examples:
+        argv = shlex.split(text)[1:]
+        assert parser.parse_args(argv).func.__name__.startswith("_cmd_")

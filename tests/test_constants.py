@@ -50,6 +50,9 @@ def test_params_rejects_bad_q():
         nc.ProblemParams(3, 2.5, -1.0, 1.0)
     with pytest.raises(ValueError):
         nc.ProblemParams(3, 2.5, 1.0, 0.0)
+    for mu, a in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError):
+            nc.ProblemParams(3, 2.5, mu, a)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
