@@ -22,8 +22,7 @@ from .mountainpass import (CpoSequenceReport, LevelEstimate, MPFamilySpec,
                            PositivityProbeReport, cpo_sequence_case1,
                            cpo_sequence_case2, estimate_mp_level,
                            omega2_positivity_probe, project_to_pohozaev_minus)
-from .profiles import (ShootingConfig, ShootingError, ShootingReport,
-                       TrialFunction, aubin_talenti, cutoff_profile, gaussian,
+from .profiles import (TrialFunction, aubin_talenti, cutoff_profile, gaussian,
                        normalize_mass_lq, random_trial, weinstein_decay_rate,
                        weinstein_ground_state)
 

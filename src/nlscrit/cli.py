@@ -74,14 +74,16 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    _write(json.dumps(_jsonable(doc), indent=2) + "\n", out_path)
+def _document(doc: dict) -> str:
+    return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
 def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
     qtext = args.q
     if qtext == "auto":   # mass-critical exponent for this dimension
         from fractions import Fraction
+        if args.dim < 3:
+            raise ValueError(f"dim must be >= 3, got {args.dim}")
         qtext = str(Fraction(2) + Fraction(4, args.dim))
     qval, qexact = cst.parse_q(qtext)
     probe = cst.ProblemParams(args.dim, qval, args.mu, 1.0, qexact)
@@ -284,24 +286,27 @@ def _cmd_evolve(args: argparse.Namespace):
     return doc
 
 
-def _sweep_point(params, g, with_ma, with_level, tol):
+def _sweep_point(params, g, with_ma, with_level, tol, seed=None):
+    """(row, (params, minimizer) or None); m_a and level come from
+    minimize_in_domain, which may solve at an exact dilation of params."""
     row = {"mu": params.mu, "a": params.a, "m_a": "", "level": "", "error": ""}
+    solved = None
     try:
         thr = cst.thresholds(params)
         row["regime"] = thr.regime.value if thr.regime else ""
-        rep = None
         if (with_ma or with_level) and thr.regime in (cst.Regime.OMEGA1,
                                                       cst.Regime.OMEGA2):
-            rep = minmod.minimize_local(params, g, tol=tol, thresholds=thr)
+            p, thr, rep = minmod.minimize_in_domain(params, g, tol, thr, seed)
+            solved = (p, rep.final)
             if with_ma:
                 row["m_a"] = repr(rep.energy)
-        if with_level and rep is not None:
-            est = mp.estimate_mp_level(params, g, minimizer=rep, thresholds=thr)
-            row["level"] = repr(est.level)
+            if with_level:
+                est = mp.estimate_mp_level(p, g, minimizer=rep, thresholds=thr)
+                row["level"] = repr(est.level)
     except Exception as exc:  # per-point failure stays in-row
         row.setdefault("regime", "")
         row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+    return row, solved
 
 
 def _cmd_sweep(args: argparse.Namespace):
@@ -313,13 +318,17 @@ def _cmd_sweep(args: argparse.Namespace):
     base = cst.ProblemParams(args.dim, qval, 1.0, 1.0, qexact)
     S = cst.sobolev_constant(args.dim)
     C = cst.gn_constant(base)
-    points = []
+    rows = []
+    seeds = {}   # a/a0 column -> last minimizer: one dilation orbit per column
     for mu in np.linspace(mu_lo, mu_hi, mu_n):
         pm = cst.ProblemParams(args.dim, qval, float(mu), 1.0, qexact)
         a0 = cst.critical_mass_a0(pm, S, C)
-        for rel in np.linspace(a_lo, a_hi, a_n):
-            points.append(pm.with_mass(float(rel) * a0))
-    rows = [_sweep_point(p, g, with_ma, with_level, args.tol) for p in points]
+        for j, rel in enumerate(np.linspace(a_lo, a_hi, a_n)):
+            row, solved = _sweep_point(pm.with_mass(float(rel) * a0), g, with_ma,
+                                       with_level, args.tol, seeds.get(j))
+            rows.append(row)
+            if solved is not None:
+                seeds[j] = solved
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["mu", "a", "regime", "m_a", "level", "error"])
@@ -452,16 +461,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
+        _write(result if isinstance(result, str) else _document(result), args.out)
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
-        _emit({"schema_version": SCHEMA_VERSION,
-               "error_kind": getattr(exc, "kind", type(exc).__name__),
-               "message": str(exc), "context": {"command": args.command}}, args.out)
-        return 1
-    if isinstance(result, str):   # CSV payloads
-        _write(result, args.out)
-    else:
-        _emit(result, args.out)
-    return 0
+        error = _document({"schema_version": SCHEMA_VERSION,
+                           "error_kind": getattr(exc, "kind", type(exc).__name__),
+                           "message": str(exc), "context": {"command": args.command}})
+    try:
+        _write(error, args.out)
+    except OSError:   # --out itself cannot be written
+        _write(error, None)
+    return 1
 
 
 if __name__ == "__main__":

@@ -329,6 +329,9 @@ def profile_to_dict(u: Profile) -> dict:
 
 
 def profile_from_dict(d: dict) -> Profile:
+    missing = [k for k in ("dim", "r_max", "n", "values") if k not in d]
+    if missing:
+        raise ValueError(f"profile document lacks {', '.join(missing)}")
     grid = make_grid(int(d["dim"]), float(d["r_max"]), int(d["n"]),
                      float(d.get("grading", 0.0)), float(d.get("origin_blend", 0.0)))
     raw = d["values"]
@@ -357,6 +360,8 @@ def load_profile_csv(path: str, grid: RadialGrid) -> Profile:
         for row in csv.reader(fh):
             if not row or row[0].strip().lower() in ("r", "# r", "#r"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {row} is not 'r,value'")
             rs.append(float(row[0]))
             vs.append(float(row[1]))
     if not rs:

@@ -7,9 +7,10 @@ sphere, preconditioned by (I - Laplacian)^-1 (a tridiagonal solve on this
 grid), and the step is accepted under an Armijo decrease test after exact
 renormalization of the mass.  Plain unpreconditioned steps are useless
 here: the graded mesh makes the stiffness ratio of the Laplacian ~1e13.
-Second, once the residual is small, a bordered-tridiagonal Newton solve on
-the stationary system (including the multiplier) polishes the state to
-residual ~1e-12, far below the reported tolerance.
+Second, once the residual is small (or the energy has stalled at rounding),
+a bordered-tridiagonal Newton solve on the stationary system (including the
+multiplier) polishes the state to residual ~1e-12, far below the reported
+tolerance.
 """
 
 from __future__ import annotations
@@ -159,13 +160,16 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     trace = []
     boundary_hit = False
     res = math.inf
-    it = 0
+    it = flat = 0
     for it in range(MAX_ITER):
         g2, s, h, lam = _norms(params, ex, grid, u)
         gproj, res = _projected_gradient(params, ex, grid, u, lam)
         P = g2 - s - params.mu * ex.gamma_q * h
         trace.append((it, E, P, g2))
-        if res < max(tol, NEWTON_SWITCH) * max(1.0, abs(E)):
+        # the residual can plateau just above the switch while E is flat to
+        # rounding: 8 accepted steps in a row that each gain <= 4 eps |E|
+        # also hand over to Newton
+        if res < max(tol, NEWTON_SWITCH) * max(1.0, abs(E)) or flat == 8:
             break
         d = tridiag_solve(off, precond_diag, W * gproj)
         d -= (float(np.dot(W, u * d)) / a) * u
@@ -190,6 +194,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
             if rejected_boundary >= 40:
                 boundary_hit = True
             break
+        flat = flat + 1 if E - Ev <= 2.0 ** -50 * abs(E) else 0   # 4 eps
         u, E = v, Ev
         step = min(step * 1.5, STEP_MAX)
 
@@ -214,6 +219,46 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                        grad_residual=res, iterations=it + 1,
                        trace=trace, boundary_hit=boundary_hit,
                        converged=converged and not boundary_hit)
+
+
+def _dilate(params: cst.ProblemParams, t: float) -> cst.ProblemParams:
+    """(mu t^(N - q(N-2)/2), a / t^2): the image of (mu, a) under the
+    dilation u -> t^((N-2)/2) u(t x), which keeps ||grad u||^2, int |u|^2*,
+    the energy, P and the mountain-pass level, and scales lambda by t^2."""
+    N, q = params.dim, params.q
+    return cst.ProblemParams(N, q, params.mu * t ** (N - q * (N - 2) / 2.0),
+                             params.a / (t * t), params.q_exact)
+
+
+def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float = 1e-8,
+                       thresholds: cst.Thresholds | None = None,
+                       seed: tuple[cst.ProblemParams, Profile] | None = None):
+    """minimize_local at params, or at an exact dilation of params when the
+    minimizer outgrows the grid.
+
+    A solve with lambda >= 0, or with ten decay lengths 10/sqrt(-lambda)
+    beyond r_max, is repeated at _dilate(params, t), at most 4 times: t = 4
+    when lambda >= 0, else t puts ten decay lengths at r_max / 2.  `seed`
+    is a (params, minimizer) pair on the same dilation orbit, solved on
+    this grid: the first solve starts from it, at params or at the seed's
+    dilation of params if that is smaller.  Returns (params, thresholds,
+    SolveReport) of the last solve."""
+    if thresholds is None:
+        thresholds = cst.thresholds(params)
+    t, init = 1.0, None
+    if seed is not None:
+        t = max(1.0, math.sqrt(params.a / seed[0].a))
+        init = rescale(seed[1], t * math.sqrt(seed[0].a / params.a))
+    for _ in range(5):
+        if t != 1.0:
+            params = _dilate(params, t)
+            thresholds = cst.thresholds(params, thresholds.S, thresholds.C_Nq)
+        rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
+        if rep.lam < 0.0 and 10.0 / math.sqrt(-rep.lam) <= grid.r_max:
+            break
+        t = 4.0 if rep.lam >= 0.0 else 20.0 / (math.sqrt(-rep.lam) * grid.r_max)
+        init = rescale(rep.final, t)
+    return params, thresholds, rep
 
 
 def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,

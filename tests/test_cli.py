@@ -179,6 +179,19 @@ def test_sweep_regime_flips_once_per_row(capsys):
         assert regs[0] == "Omega1" and regs[-1] == "Omega3"
 
 
+def test_sweep_dilates_outgrown_minimizer(capsys):
+    # at r_max = 50 this minimizer is truncated by the domain (m_a = +0.033);
+    # the sweep solves at an exact dilation and finds the negative minimum
+    code, out = run_cli(["sweep", "--dim", "3", "--q", "3.2",
+                         "--mu-range", "0.546875:0.546875:1",
+                         "--a-rel-range", "0.47265625:0.47265625:1", "--with-ma"],
+                        capsys)
+    assert code == 0
+    mu, a, regime, m_a, level, error = out.strip().splitlines()[1].split(",")
+    assert (mu, regime, error) == ("0.546875", "Omega1", "")
+    assert float(m_a) < 0.0
+
+
 def test_sweep_empty_grid_header_only(capsys):
     code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5",
                          "--mu-range", "1:1:1", "--a-rel-range", "0.5:1.5:0"],
@@ -221,10 +234,16 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["cpo", "--case", "1", "--dim", "4", "--steps", "0"],
     ["fiber", "--profile", "missing.json", "--a", "1.0"],
     ["evolve", "--init", "empty.csv", "--a", "1.0", "--grid-n", "256"],
+    ["fiber", "--profile", "bad.json", "--a", "1.0"],
+    ["evolve", "--init", "onecol.csv", "--a", "1.0", "--grid-n", "256"],
+    ["constants", "--a", "1.0", "--out", "no-such-dir/x.json"],
+    ["constants", "--dim", "0", "--q", "auto"],
 ])
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("r,value\n")
+    (tmp_path / "bad.json").write_text('{"dim": 3}\n')
+    (tmp_path / "onecol.csv").write_text("r\n0.5\n1.0\n")
     code, out = run_cli(args, capsys)
     assert code == 1
     doc = json.loads(out)

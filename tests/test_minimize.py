@@ -117,3 +117,15 @@ def test_subadditivity_small_mass(params_half, soliton_grid):
 def test_subadditivity_rejects_bad_split(params_half, soliton_grid):
     with pytest.raises(ValueError):
         mn.subadditivity_check(params_half, soliton_grid, params_half.a)
+
+
+def test_descent_hands_a_flat_energy_to_newton():
+    # the projected residual plateaus just above the Newton switch while E is
+    # flat to rounding; this point used to run the 20000-iteration cap
+    base = nc.ProblemParams(4, 2.5, 0.46875, 1.0)
+    S, C = nc.sobolev_constant(4), nc.gn_constant(base)
+    params = base.with_mass(0.44921875 * nc.critical_mass_a0(base, S, C))
+    rep = mn.minimize_local(params, nc.make_grid(4, 50.0, 8192),
+                            thresholds=nc.thresholds(params, S, C))
+    assert rep.converged
+    assert rep.iterations < 500
