@@ -286,27 +286,27 @@ def _cmd_evolve(args: argparse.Namespace):
     return doc
 
 
-def _sweep_point(params, g, with_ma, with_level, tol, seed=None):
-    """(row, (params, minimizer) or None); m_a and level come from
+def _sweep_point(params, g, with_ma, with_level, tol) -> list[str]:
+    """[regime, m_a, level, error] of one sweep point; m_a and level come from
     minimize_in_domain, which may solve at an exact dilation of params."""
-    row = {"mu": params.mu, "a": params.a, "m_a": "", "level": "", "error": ""}
-    solved = None
+    cells = ["", "", "", ""]
     try:
         thr = cst.thresholds(params)
-        row["regime"] = thr.regime.value if thr.regime else ""
+        cells[0] = thr.regime.value if thr.regime else ""
         if (with_ma or with_level) and thr.regime in (cst.Regime.OMEGA1,
                                                       cst.Regime.OMEGA2):
-            p, thr, rep = minmod.minimize_in_domain(params, g, tol, thr, seed)
-            solved = (p, rep.final)
+            p, thr, rep = minmod.minimize_in_domain(params, g, tol, thr)
+            if not rep.converged:
+                raise RuntimeError("local minimization did not converge "
+                                   f"(residual {rep.grad_residual:.2e})")
             if with_ma:
-                row["m_a"] = repr(rep.energy)
+                cells[1] = repr(rep.energy)
             if with_level:
                 est = mp.estimate_mp_level(p, g, minimizer=rep, thresholds=thr)
-                row["level"] = repr(est.level)
-    except Exception as exc:  # per-point failure stays in-row
-        row.setdefault("regime", "")
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row, solved
+                cells[2] = repr(est.level)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:   # stays in-row
+        cells[3] = f"{type(exc).__name__}: {exc}"
+    return cells
 
 
 def _cmd_sweep(args: argparse.Namespace):
@@ -318,23 +318,22 @@ def _cmd_sweep(args: argparse.Namespace):
     base = cst.ProblemParams(args.dim, qval, 1.0, 1.0, qexact)
     S = cst.sobolev_constant(args.dim)
     C = cst.gn_constant(base)
-    rows = []
-    seeds = {}   # a/a0 column -> last minimizer: one dilation orbit per column
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(["mu", "a", "regime", "m_a", "level", "error"])
+    # an a/a0 column is one dilation orbit, which keeps E, P and the level:
+    # its first Omega1/Omega2 row solves, and the later ones print its cells
+    solved = {}   # a/a0 column -> [m_a, level, error]
     for mu in np.linspace(mu_lo, mu_hi, mu_n):
         pm = cst.ProblemParams(args.dim, qval, float(mu), 1.0, qexact)
         a0 = cst.critical_mass_a0(pm, S, C)
         for j, rel in enumerate(np.linspace(a_lo, a_hi, a_n)):
-            row, solved = _sweep_point(pm.with_mass(float(rel) * a0), g, with_ma,
-                                       with_level, args.tol, seeds.get(j))
-            rows.append(row)
-            if solved is not None:
-                seeds[j] = solved
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["mu", "a", "regime", "m_a", "level", "error"])
-    for row in rows:
-        wr.writerow([repr(float(row["mu"])), repr(float(row["a"])),
-                     row["regime"], row["m_a"], row["level"], row["error"]])
+            params, first = pm.with_mass(float(rel) * a0), j not in solved
+            regime, *cells = _sweep_point(params, g, with_ma and first,
+                                          with_level and first, args.tol)
+            if regime in (cst.Regime.OMEGA1.value, cst.Regime.OMEGA2.value):
+                cells = solved.setdefault(j, cells)
+            wr.writerow([repr(float(params.mu)), repr(float(params.a)), regime, *cells])
     return buf.getvalue()
 
 

@@ -37,6 +37,9 @@ from . import constants as cst
 from .grid import Profile, RadialGrid, lq_norm_pow, mass, rescale, tridiag_solve
 
 RESOLUTION_CAP = 0.5      # largest accepted dt * max|potential|
+GROWTH_TRIGGER = 1.05     # kinetic-norm growth in one step that halves dt
+DT_MIN = 1e-8             # a step size below this raises the blow-up indicator
+BLOWUP_FACTOR = 1e3       # so does kinetic-norm growth beyond this factor
 
 
 @dataclass
@@ -100,11 +103,9 @@ class _RelaxationStepper:
         return new, ups_new
 
 
-def h1_distance(grid: RadialGrid, psi: np.ndarray, ref: np.ndarray,
-                stepper: _RelaxationStepper) -> float:
+def h1_distance(grid: RadialGrid, psi: np.ndarray, ref: np.ndarray) -> float:
     """min over theta of ||psi - e^(i theta) ref||_H1 (phase modulation only;
-    radial symmetry pins translations).  The kinetic operator is the grid's;
-    `stepper` is not read."""
+    radial symmetry pins translations)."""
     inner = np.vdot(ref, grid.stiffness_apply(psi)) + np.vdot(ref * grid.full_weights, psi)
     n_psi = grid.stiffness_quad(psi) + mass(grid, psi)
     n_ref = grid.stiffness_quad(ref) + mass(grid, ref)
@@ -114,17 +115,15 @@ def h1_distance(grid: RadialGrid, psi: np.ndarray, ref: np.ndarray,
 
 def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
            dt: float, t_end: float, reference: Profile | None = None,
-           stride: int = 10, linear: bool = False,
-           blowup_factor: float = 1e3, dt_min: float = 1e-8,
-           growth_trigger: float = 1.05) -> TrajectorySummary:
+           stride: int = 10, linear: bool = False) -> TrajectorySummary:
     """March to t_end or to the blow-up indicator.
 
     Near a focusing event the step size is halved whenever the kinetic
-    norm grows by more than `growth_trigger` in a single step, and is
-    allowed to recover on calm stretches; if it collapses below dt_min the
-    blow-up indicator is raised.  `linear` disables the nonlinear
-    potentials (free propagation); it exists for validation against
-    exactly solvable dynamics.
+    norm grows by more than GROWTH_TRIGGER in a single step, and is
+    allowed to recover on calm stretches; if it collapses below DT_MIN, or
+    the kinetic norm grows beyond BLOWUP_FACTOR, the blow-up indicator is
+    raised.  `linear` disables the nonlinear potentials (free propagation);
+    it exists for validation against exactly solvable dynamics.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
@@ -142,7 +141,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
     dists = None
     if reference is not None:
         ref = reference.values.astype(complex)
-        dists = [h1_distance(grid, psi, ref, stepper)]
+        dists = [h1_distance(grid, psi, ref)]
 
     t = 0.0
     cur_dt = dt
@@ -163,14 +162,14 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         gnorm = None
         if out is not None:
             gnorm = math.sqrt(max(grid.stiffness_quad(out[0]), 0.0))
-            grew = gnorm > growth_trigger * gnorm_prev and gnorm > growth_trigger * g0
-            if grew and cur_dt > 2.0 * dt_min:
+            grew = gnorm > GROWTH_TRIGGER * gnorm_prev and gnorm > GROWTH_TRIGGER * g0
+            if grew and cur_dt > 2.0 * DT_MIN:
                 out = None      # under-resolved focusing: retry smaller
         if out is None:
             cur_dt *= 0.5
             ok_streak = 0
             ups = stepper.potential(np.abs(psi) ** 2)   # restart the recursion
-            if cur_dt < dt_min:
+            if cur_dt < DT_MIN:
                 blowup = True
                 blowup_time = t
                 break
@@ -186,7 +185,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
                 ok_streak = 0
         gnorm_prev = gnorm
         record = (steps % stride == 0) or t >= t_end - 1e-12
-        if gnorm > blowup_factor * g0:
+        if gnorm > BLOWUP_FACTOR * g0:
             blowup = True
             blowup_time = t
             record = True
@@ -197,7 +196,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
             grads.append(gnorm)
             probes.append(psi[probe_idx])
             if dists is not None:
-                dists.append(h1_distance(grid, psi, ref, stepper))
+                dists.append(h1_distance(grid, psi, ref))
         if blowup:
             break
     return TrajectorySummary(
@@ -219,15 +218,14 @@ class StabilityReport:
 
 def stability_probe(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                     eps: float, t_end: float, dt: float = 2e-3,
-                    stride: int = 20, **kwargs) -> StabilityReport:
+                    stride: int = 20) -> StabilityReport:
     """Evolve a bump-perturbed standing-wave profile and track the phase-
     modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u, mass
     renormalized; eps may be negative."""
     vals = (1.0 + eps * np.exp(-grid.nodes ** 2)) * u.values
     vals = vals * math.sqrt(params.a / mass(grid, vals))
     psi0 = Profile(grid, vals.astype(complex))
-    summary = evolve(params, grid, psi0, dt, t_end, reference=u,
-                     stride=stride, **kwargs)
+    summary = evolve(params, grid, psi0, dt, t_end, reference=u, stride=stride)
     d0 = summary.h1_distance[0]
     dmax = float(np.max(summary.h1_distance))
     growth = dmax / d0 if d0 > 0.0 else (math.inf if dmax > 0.0 else 1.0)
@@ -245,7 +243,7 @@ class BlowupReport:
 
 def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
                  amplification: float, t_end: float, dt: float = 1e-3,
-                 stride: int = 10, **kwargs) -> BlowupReport:
+                 stride: int = 10) -> BlowupReport:
     """Evolve the dilated datum v_tau, tau = amplification > 1 pushes the
     profile past its fiber maximum onto the descending branch; the kinetic
     norm is then monitored for the blow-up indicator."""
@@ -253,7 +251,7 @@ def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
         raise ValueError("amplification must be positive")
     w = rescale(v, amplification)
     w = Profile(grid, (w.values * math.sqrt(params.a / mass(grid, w))).astype(complex))
-    summary = evolve(params, grid, w, dt, t_end, stride=stride, **kwargs)
+    summary = evolve(params, grid, w, dt, t_end, stride=stride)
     growth = float(np.max(summary.grad_norm) / summary.grad_norm[0])
     return BlowupReport(blowup_flag=summary.blowup_flag,
                         blowup_time=summary.blowup_time,

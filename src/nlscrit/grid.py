@@ -151,6 +151,16 @@ def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndar
     return x
 
 
+def scaled_tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray,
+                         scale: np.ndarray) -> np.ndarray:
+    """tridiag_solve through (S T S) y = S rhs, x = S y, S = diag(scale).
+    Newton Jacobians here are not diagonally dominant, and unscaled, gtsv's
+    pivoting loses the core rows of w = 0 grids (entries ~1e-22 at N = 6);
+    scale = diag(P)^(-1/2), P a positive part of T, makes every row O(1)."""
+    sc = scale if rhs.ndim == 1 else scale[:, None]
+    return sc * tridiag_solve(scale[:-1] * scale[1:] * off, scale * scale * diag, sc * rhs)
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """Radial function sampled on a grid; implicitly 0 at r_max."""
@@ -329,16 +339,19 @@ def profile_to_dict(u: Profile) -> dict:
 
 
 def profile_from_dict(d: dict) -> Profile:
-    missing = [k for k in ("dim", "r_max", "n", "values") if k not in d]
-    if missing:
-        raise ValueError(f"profile document lacks {', '.join(missing)}")
-    grid = make_grid(int(d["dim"]), float(d["r_max"]), int(d["n"]),
-                     float(d.get("grading", 0.0)), float(d.get("origin_blend", 0.0)))
-    raw = d["values"]
-    if raw and isinstance(raw[0], (list, tuple)):
-        vals = np.array([complex(re, im) for re, im in raw])
-    else:
-        vals = np.asarray(raw, dtype=float)
+    try:
+        missing = [k for k in ("dim", "r_max", "n", "values") if k not in d]
+        if missing:
+            raise ValueError(f"profile document lacks {', '.join(missing)}")
+        grid = make_grid(int(d["dim"]), float(d["r_max"]), int(d["n"]),
+                         float(d.get("grading", 0.0)), float(d.get("origin_blend", 0.0)))
+        raw = d["values"]
+        if raw and isinstance(raw[0], (list, tuple)):
+            vals = np.array([complex(re, im) for re, im in raw])
+        else:
+            vals = np.asarray(raw, dtype=float)
+    except TypeError as exc:   # e.g. "r_max": null, "values": 3, or not an object
+        raise ValueError(f"profile document has a field of the wrong type: {exc}") from exc
     return Profile(grid, vals)
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import Profile, RadialGrid, lq_norm_pow, mass, rescale, tridiag_solve
+from .grid import (Profile, RadialGrid, lq_norm_pow, mass, rescale,
+                   scaled_tridiag_solve, tridiag_solve)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual at which Newton takes over
@@ -103,6 +104,7 @@ def _newton_polish(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGri
     """Newton on (stationary equation, mass constraint); returns (u, ok, res)."""
     W, a = grid.full_weights, params.a
     diag, off = grid.stiffness_bands()
+    sc = 1.0 / np.sqrt(diag + W)
     u = u.copy()
     for _ in range(NEWTON_MAX):
         *_, lam = _norms(params, ex, grid, u)
@@ -111,8 +113,8 @@ def _newton_polish(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGri
         if res < target:
             return u, True, res
         try:
-            X = tridiag_solve(off, diag - W * (_nonlinear_prime(params, ex, u) + lam),
-                              np.column_stack([-F, W * u]))
+            jac = diag - W * (_nonlinear_prime(params, ex, u) + lam)
+            X = scaled_tridiag_solve(off, jac, np.column_stack([-F, W * u]), sc)
         except np.linalg.LinAlgError:
             return u, False, res
         x, y = X[:, 0], X[:, 1]
@@ -198,10 +200,9 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         u, E = v, Ev
         step = min(step * 1.5, STEP_MAX)
 
-    converged = res < tol * max(1.0, abs(E))
     if not boundary_hit:
-        target = tol * max(1.0, abs(E))
-        u_new, ok, _ = _newton_polish(params, ex, grid, u, 0.01 * target)
+        u_new, ok, _ = _newton_polish(params, ex, grid, u, 0.01 * (tol * max(1.0, abs(E))))
+        u_new *= math.sqrt(a / mass(grid, u_new))   # Newton meets the mass to ~1e-10
         if ok and grid.stiffness_quad(u_new) < rho0:
             # recompute the projected residual actually reported
             *_, lam = _norms(params, ex, grid, u_new)
@@ -209,8 +210,8 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
             if res_new < res:
                 u, res = u_new, res_new
                 E = _energy(params, ex, grid, u)
-                converged = res < tol * max(1.0, abs(E))
 
+    converged = res < tol * max(1.0, abs(E))
     g2, s, h, lam = _norms(params, ex, grid, u)
     P = g2 - s - params.mu * ex.gamma_q * h
     if np.dot(W, u) < 0.0:   # sign normalization
@@ -231,34 +232,27 @@ def _dilate(params: cst.ProblemParams, t: float) -> cst.ProblemParams:
 
 
 def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float = 1e-8,
-                       thresholds: cst.Thresholds | None = None,
-                       seed: tuple[cst.ProblemParams, Profile] | None = None):
+                       thresholds: cst.Thresholds | None = None):
     """minimize_local at params, or at an exact dilation of params when the
     minimizer outgrows the grid.
 
     A solve with lambda >= 0, or with ten decay lengths 10/sqrt(-lambda)
-    beyond r_max, is repeated at _dilate(params, t), at most 4 times: t = 4
-    when lambda >= 0, else t puts ten decay lengths at r_max / 2.  `seed`
-    is a (params, minimizer) pair on the same dilation orbit, solved on
-    this grid: the first solve starts from it, at params or at the seed's
-    dilation of params if that is smaller.  Returns (params, thresholds,
-    SolveReport) of the last solve."""
+    beyond r_max, is repeated at _dilate(params, t) from the dilated
+    minimizer, at most 4 times: t = 4 when lambda >= 0, else t puts ten
+    decay lengths at r_max / 2.  E, P and the mountain-pass level are
+    invariants of the dilation orbit, so the result holds for params
+    itself.  Returns (params, thresholds, SolveReport) of the last solve."""
     if thresholds is None:
         thresholds = cst.thresholds(params)
-    t, init = 1.0, None
-    if seed is not None:
-        t = max(1.0, math.sqrt(params.a / seed[0].a))
-        init = rescale(seed[1], t * math.sqrt(seed[0].a / params.a))
-    for _ in range(5):
-        if t != 1.0:
-            params = _dilate(params, t)
-            thresholds = cst.thresholds(params, thresholds.S, thresholds.C_Nq)
+    init = None
+    for attempt in range(5):
         rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
-        if rep.lam < 0.0 and 10.0 / math.sqrt(-rep.lam) <= grid.r_max:
-            break
+        if attempt == 4 or (rep.lam < 0.0 and 10.0 / math.sqrt(-rep.lam) <= grid.r_max):
+            return params, thresholds, rep
         t = 4.0 if rep.lam >= 0.0 else 20.0 / (math.sqrt(-rep.lam) * grid.r_max)
         init = rescale(rep.final, t)
-    return params, thresholds, rep
+        params = _dilate(params, t)
+        thresholds = cst.thresholds(params, thresholds.S, thresholds.C_Nq)
 
 
 def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,

@@ -130,7 +130,7 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     umin = minimizer.final.values
 
     trace = []
-    best = (math.inf, None, None)
+    best = (math.inf, None)   # (level, trial profile)
     failures = []
     for b in family.bubble_widths:
         bub = profiles.cutoff_profile(
@@ -147,16 +147,11 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
             lev = rep.e_at_tau_minus
             trace.append(((b, s), lev))
             if lev < best[0]:
-                best = (lev, b, s)
-    if best[1] is None:
+                best = (lev, w)
+    level, w = best
+    if w is None:
         raise RuntimeError(f"family produced no admissible projection: {failures[:4]}")
-    level, b_star, s_star = best
-    bub = profiles.cutoff_profile(
-        profiles.aubin_talenti(N, b_star, grid), family.cutoff_radius)
-    vals = umin + s_star * bub.values
-    vals = vals * math.sqrt(a / float(np.dot(W, vals * vals)))
-    witness = project_to_pohozaev_minus(params, grid, Profile(grid, vals),
-                                        thresholds=thresholds)
+    witness = project_to_pohozaev_minus(params, grid, w, thresholds=thresholds)
     accepted = bool(0.0 < level < upper)
     return LevelEstimate(level=level, witness=witness, m_a=m_a,
                          upper_bound=upper, family_trace=trace, accepted=accepted)

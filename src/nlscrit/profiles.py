@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Profile, RadialGrid, lq_norm_pow, mass, tridiag_solve
+from .grid import (Profile, RadialGrid, lq_norm_pow, mass, scaled_tridiag_solve,
+                   tridiag_solve)
 
 
 def ode_coefficients(dim: int, q: float) -> tuple[float, float]:
@@ -69,10 +70,7 @@ def weinstein_ground_state(dim_or_params, q: float | None = None,
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
     L_diag, L_off = A * diag + B * W, A * off
-    # the Jacobian is not diagonally dominant, and unscaled, gtsv's pivoting
-    # loses the core rows of w = 0 grids (entries ~1e-22 at N = 6); scaled
-    # by diag(L)^-1/2 on both sides, every row is O(1)
-    sc = 1.0 / np.sqrt(L_diag)
+    sc = 1.0 / np.sqrt(L_diag)   # the Newton solve's scale
 
     def residual(u):
         Lu = A * grid.stiffness_apply(u) + B * W * u
@@ -93,8 +91,7 @@ def weinstein_ground_state(dim_or_params, q: float | None = None,
             if res < NEWTON_TOL:
                 break
             jac = L_diag - (qq - 1.0) * W * np.abs(u) ** (qq - 2.0)
-            v = u - sc * tridiag_solve(sc[:-1] * sc[1:] * L_off, sc * sc * jac,
-                                       sc * (Lu - nl))
+            v = u - scaled_tridiag_solve(L_off, jac, Lu - nl, sc)
             Lv, nv, res_v = residual(v)
             if not res_v < res:
                 break

@@ -192,6 +192,49 @@ def test_sweep_dilates_outgrown_minimizer(capsys):
     assert float(m_a) < 0.0
 
 
+def test_sweep_solves_each_column_once(capsys, monkeypatch):
+    # an a/a0 column is one dilation orbit: one solve, the same cells in every row
+    calls = []
+    solve = cli.minmod.minimize_in_domain
+
+    def counted(params, *args):
+        calls.append(params.a)
+        return solve(params, *args)
+
+    monkeypatch.setattr(cli.minmod, "minimize_in_domain", counted)
+    code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5", "--mu-range", "0.8:1.6:3",
+                         "--a-rel-range", "0.5:1.25:4", "--with-ma", "--with-level"]
+                        + FAST, capsys)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert len(calls) == 3
+    for j, regime in enumerate(("Omega1", "Omega1", "Omega2", "Omega3")):
+        column = rows[j::4]
+        assert len({r[0] for r in column}) == 3 and {r[2] for r in column} == {regime}
+        cells = {tuple(r[3:]) for r in column}
+        assert len(cells) == 1
+        m_a, level, error = cells.pop()
+        if regime == "Omega3":
+            assert (m_a, level, error) == ("", "", "")
+        else:
+            assert float(m_a) < 0.0 < float(level) and error == ""
+
+
+def test_sweep_unconverged_solve_is_row_error(capsys, monkeypatch):
+    def unconverged(params, g, tol, thr):
+        return params, thr, cli.minmod.SolveReport(
+            final=None, energy=-1.0, pohozaev=0.0, lam=-1.0, grad_residual=0.25,
+            iterations=1, trace=[], boundary_hit=False, converged=False)
+
+    monkeypatch.setattr(cli.minmod, "minimize_in_domain", unconverged)
+    code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5", "--mu-range", "1:1:1",
+                         "--a-rel-range", "0.5:0.5:1", "--with-ma"] + FAST, capsys)
+    assert code == 0
+    mu, a, regime, m_a, level, error = out.strip().splitlines()[1].split(",")
+    assert (regime, m_a, level) == ("Omega1", "", "")
+    assert error == "RuntimeError: local minimization did not converge (residual 2.50e-01)"
+
+
 def test_sweep_empty_grid_header_only(capsys):
     code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5",
                          "--mu-range", "1:1:1", "--a-rel-range", "0.5:1.5:0"],
@@ -238,12 +281,18 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["evolve", "--init", "onecol.csv", "--a", "1.0", "--grid-n", "256"],
     ["constants", "--a", "1.0", "--out", "no-such-dir/x.json"],
     ["constants", "--dim", "0", "--q", "auto"],
+    ["fiber", "--profile", "scalar-values.json", "--a", "1.0"],
+    ["fiber", "--profile", "null-rmax.json", "--a", "1.0"],
 ])
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("r,value\n")
     (tmp_path / "bad.json").write_text('{"dim": 3}\n')
     (tmp_path / "onecol.csv").write_text("r\n0.5\n1.0\n")
+    (tmp_path / "scalar-values.json").write_text(
+        '{"dim": 3, "r_max": 50, "n": 1024, "values": 3}\n')
+    (tmp_path / "null-rmax.json").write_text(
+        '{"dim": 3, "r_max": null, "n": 1024, "values": [1.0]}\n')
     code, out = run_cli(args, capsys)
     assert code == 1
     doc = json.loads(out)

@@ -73,7 +73,7 @@ def test_time_reversal(params_half, dyn_grid, dyn_minimizer):
     ups = st.potential(np.abs(back) ** 2)
     for _ in range(1000):
         back, ups = st.step(back, ups, 1e-3)
-    err = h1_distance(dyn_grid, np.conj(back), pert.values.astype(complex), st)
+    err = h1_distance(dyn_grid, np.conj(back), pert.values.astype(complex))
     assert err < 1e-6
 
 

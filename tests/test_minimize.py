@@ -129,3 +129,24 @@ def test_descent_hands_a_flat_energy_to_newton():
                             thresholds=nc.thresholds(params, S, C))
     assert rep.converged
     assert rep.iterations < 500
+
+
+
+@pytest.fixture(scope="module")
+def grid6():
+    return nc.make_grid(6, 50.0, 8192)
+
+
+@pytest.mark.parametrize("rel", [0.25, 0.5, 0.75, 1.0])
+def test_newton_converges_on_the_w0_core(rel, grid6):
+    # unscaled, gtsv's pivoting lost the core rows of the bordered Newton
+    # system at N = 6 (entries ~1e-22), and these runs stalled at residual 0.06-0.28
+    base = nc.ProblemParams(6, 2.2, 1.0, 1.0)
+    S, C = nc.sobolev_constant(6), nc.gn_constant(base)
+    params = base.with_mass(rel * nc.critical_mass_a0(base, S, C))
+    rep = mn.minimize_local(params, grid6, thresholds=nc.thresholds(params, S, C))
+    assert rep.converged and not rep.boundary_hit
+    assert rep.grad_residual < 1e-8 * abs(rep.energy)
+    assert rep.energy < 0.0 and rep.lam < 0.0
+    assert abs(rep.pohozaev) < 1e-6 * abs(rep.energy)   # discrete P is not exact
+    assert nc.mass(grid6, rep.final) == pytest.approx(params.a, rel=1e-12)
