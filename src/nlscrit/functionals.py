@@ -15,10 +15,10 @@ nonnegative level); at the mass-critical exponent there is either one root
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import constants as cst
 from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass
@@ -70,6 +70,61 @@ def lagrange_multiplier(params: cst.ProblemParams, grid: RadialGrid, u: Profile)
     when u approximately solves it; no residual check is enforced here."""
     nm = fiber_norms(params, grid, u)
     return (nm.grad2 - nm.crit - params.mu * nm.sub) / nm.mass
+
+
+def brentq(f, a: float, b: float) -> float:
+    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step as
+    scipy.optimize.brentq's C routine, so the roots agree to the last bit.
+    It stops once the bracket is below 1e-300 + 8.9e-16 |x| (8.9e-16 is
+    about 4 eps, the tightest relative tolerance scipy accepts).  ValueError
+    when f(a) and f(b) have the same sign or f returns NaN, RuntimeError
+    after 100 iterations."""
+    xtol, rtol, maxiter = 1e-300, 8.9e-16, 100
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:          # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                     # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +243,8 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
         hi *= 2.0
         if hi > 1e14:
             raise StructuralAnomalyError("no upper fiber root below tau = 1e14")
-    tau_p = brentq(red, lo, peak, xtol=1e-300, rtol=8.9e-16)
-    tau_m = brentq(red, peak, hi, xtol=1e-300, rtol=8.9e-16)
+    tau_p = brentq(red, lo, peak)
+    tau_m = brentq(red, peak, hi)
     return FiberReport(tau_plus=tau_p, tau_minus=tau_m,
                        e_at_tau_plus=psi_value(params, nm, tau_p),
                        e_at_tau_minus=psi_value(params, nm, tau_m),

@@ -20,11 +20,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from math import comb, gamma, pi
+from math import comb, gamma, isfinite, pi
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import get_lapack_funcs
 
 
@@ -266,33 +265,71 @@ def derivative(grid: RadialGrid, u: Profile | np.ndarray) -> np.ndarray:
     return out
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    # one-sided three-point end slope, clipped to preserve the data's shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Monotone cubic Hermite interpolant (F. N. Fritsch & R. E. Carlson,
+    SIAM J. Numer. Anal. 17, 1980) of y[..., j] at the strictly increasing
+    knots x[j]; the returned function maps queries of shape (m,) to values
+    of shape y.shape[:-1] + (m,), NaN outside [x[0], x[-1]].  Knot slopes
+    are the Fritsch-Butland weighted harmonic mean inside and _pchip_edge at
+    the ends; the coefficients and the summation order are those of
+    scipy.interpolate.PchipInterpolator(extrapolate=False), so the values
+    agree to the last bit."""
+    with np.errstate(all="ignore"):   # flat stretches divide by zero; masked
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if len(x) == 2:
+            d = np.concatenate([m, m], axis=-1)
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            ml, mr = m[..., :-1], m[..., 1:]
+            whmean = (w1 / ml + w2 / mr) / (w1 + w2)
+            stationary = (np.sign(mr) != np.sign(ml)) | (mr == 0) | (ml == 0)
+            d = np.concatenate([_pchip_edge(h[0], h[1], m[..., :1], m[..., 1:2]),
+                                np.where(stationary, 0.0, 1.0 / whmean),
+                                _pchip_edge(h[-1], h[-2], m[..., -1:], m[..., -2:-1])],
+                               axis=-1)
+        d0 = d[..., :-1]
+        t = (d0 + d[..., 1:] - 2 * m) / h
+        # PPoly's sum starts from +0.0, so a knot value of -0.0 evaluates
+        # to +0.0: hence 0.0 + y
+        c0, c1, c2, c3 = t / h, (m - d0) / h - t, d0, 0.0 + y[..., :-1]
+
+    def ev(xq: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+        s = xq - x[i]
+        k0, k1, k2, k3 = (c.take(i, axis=-1) for c in (c0, c1, c2, c3))
+        with np.errstate(all="ignore"):
+            s2 = s * s
+            out = ((k3 + k2 * s) + k1 * s2) + k0 * (s2 * s)
+        out[..., ~((xq >= x[0]) & (xq <= x[-1]))] = np.nan
+        return out
+    return ev
+
+
 def _interpolator(u: Profile) -> Callable[[np.ndarray], np.ndarray]:
     """Monotone cubic interpolant of u extended evenly through r = 0 and by
     the Dirichlet 0 at r_max; queries beyond r_max return 0."""
     grid = u.grid
     r = grid.nodes
-
-    def build(vals: np.ndarray):
-        # even extension: quadratic in r^2 through the first two nodes
-        r1s, r2s = r[0] ** 2, r[1] ** 2
-        v0 = vals[0] + (vals[0] - vals[1]) * r1s / (r2s - r1s)
-        x = np.concatenate([[0.0], r, [grid.r_max]])
-        y = np.concatenate([[v0], vals, [0.0]])
-        with np.errstate(all="ignore"):   # flat stretches trip harmless overflow
-            return PchipInterpolator(x, y, extrapolate=False)
-
-    if np.iscomplexobj(u.values):
-        fre = build(u.values.real)
-        fim = build(u.values.imag)
-
-        def ev(x):
-            out = np.nan_to_num(fre(x), nan=0.0) + 1j * np.nan_to_num(fim(x), nan=0.0)
-            return out
-        return ev
-    f = build(u.values)
+    cplx = np.iscomplexobj(u.values)
+    vals = np.stack([u.values.real, u.values.imag]) if cplx else u.values
+    # even extension: quadratic in r^2 through the first two nodes
+    r1s, r2s = r[0] ** 2, r[1] ** 2
+    v0 = vals[..., 0] + (vals[..., 0] - vals[..., 1]) * r1s / (r2s - r1s)
+    f = pchip(np.concatenate([[0.0], r, [grid.r_max]]),
+              np.concatenate([v0[..., None], vals, np.zeros(vals.shape[:-1] + (1,))], axis=-1))
 
     def ev(x):
-        return np.nan_to_num(f(x), nan=0.0)
+        out = np.nan_to_num(f(x), nan=0.0)
+        return out[0] + 1j * out[1] if cplx else out
     return ev
 
 
@@ -338,12 +375,21 @@ def profile_to_dict(u: Profile) -> dict:
     return d
 
 
+def _exact_int(d: dict, key: str) -> int:
+    v = d[key]
+    if isinstance(v, int):
+        return v
+    if not float(v).is_integer():
+        raise ValueError(f"profile document field {key!r} must be an integer, got {v!r}")
+    return int(float(v))
+
+
 def profile_from_dict(d: dict) -> Profile:
     try:
         missing = [k for k in ("dim", "r_max", "n", "values") if k not in d]
         if missing:
             raise ValueError(f"profile document lacks {', '.join(missing)}")
-        grid = make_grid(int(d["dim"]), float(d["r_max"]), int(d["n"]),
+        grid = make_grid(_exact_int(d, "dim"), float(d["r_max"]), _exact_int(d, "n"),
                          float(d.get("grading", 0.0)), float(d.get("origin_blend", 0.0)))
         raw = d["values"]
         if raw and isinstance(raw[0], (list, tuple)):
@@ -375,18 +421,25 @@ def load_profile_csv(path: str, grid: RadialGrid) -> Profile:
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}: row {row} is not 'r,value'")
-            rs.append(float(row[0]))
-            vs.append(float(row[1]))
+            r, v = float(row[0]), float(row[1])
+            if not (isfinite(r) and isfinite(v)):
+                raise ValueError(f"{path}: non-finite row at radius {r!r}: value {v!r}")
+            rs.append(r)
+            vs.append(v)
     if not rs:
         raise ValueError(f"{path}: no 'r,value' data rows")
     rs = np.asarray(rs)
     vs = np.asarray(vs)
     order = np.argsort(rs)
     rs, vs = rs[order], vs[order]
+    dup = np.flatnonzero(np.diff(rs) == 0.0)
+    if dup.size:
+        raise ValueError(f"{path}: radius {float(rs[dup[0]])!r} appears more than once")
     if rs[0] > 0.0:
         v0 = vs[0] if len(rs) < 2 else vs[0] + (vs[0] - vs[1]) * rs[0] ** 2 / (rs[1] ** 2 - rs[0] ** 2)
         rs = np.concatenate([[0.0], rs])
         vs = np.concatenate([[v0], vs])
-    f = PchipInterpolator(rs, vs, extrapolate=False)
-    vals = np.nan_to_num(f(grid.nodes), nan=0.0)
+    if len(rs) < 2:
+        raise ValueError(f"{path}: one row at radius {float(rs[0])!r} cannot be interpolated")
+    vals = np.nan_to_num(pchip(rs, vs)(grid.nodes), nan=0.0)
     return Profile(grid, vals)

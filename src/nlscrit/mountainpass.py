@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import constants as cst
 from . import functionals as fnl
@@ -33,14 +32,15 @@ from . import minimize as minmod
 from . import profiles
 from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass, rescale
 
+P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
+
 
 # ---------------------------------------------------------------------------
 # projection onto the positive-energy Pohozaev set
 
 def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
                               u: Profile,
-                              thresholds: cst.Thresholds | None = None,
-                              p_rtol: float = 1e-6) -> Profile:
+                              thresholds: cst.Thresholds | None = None) -> Profile:
     """Return u at its fiber maximum, renormalized to mass a, with the
     Pohozaev value of the *resampled* profile re-zeroed by a local root
     find (dilation resampling perturbs P away from the norm-algebra root).
@@ -68,13 +68,13 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
         k += 1
     if plo * phi_ > 0.0:
         raise RuntimeError("could not re-bracket the Pohozaev root after resampling")
-    tau = brentq(p_of, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    tau = fnl.brentq(p_of, lo, hi)
     w = renorm(rescale(u, tau))
     pw = fnl.pohozaev(params, grid, w)
     g2 = grad_l2_sq(grid, w)
-    if abs(pw) > p_rtol * g2:
+    if abs(pw) > P_RTOL * g2:
         raise RuntimeError(f"projection quality |P| = {abs(pw):.2e} exceeds "
-                           f"{p_rtol:.0e} * ||grad||^2 = {p_rtol * g2:.2e}")
+                           f"{P_RTOL:.0e} * ||grad||^2 = {P_RTOL * g2:.2e}")
     if fnl.energy(params, grid, w) <= 0.0:
         raise RuntimeError("projected profile has nonpositive energy; "
                            "it does not belong to the positive branch")
@@ -332,7 +332,7 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
             reached = gn_quotient(Q + s_hi * bump)
             raise RuntimeError(
                 f"could not bracket quotient {M_n:.6g}; family reaches only {reached:.6g}")
-        s_root = brentq(objective, 0.0, s_hi, xtol=1e-300, rtol=8.9e-16)
+        s_root = fnl.brentq(objective, 0.0, s_hi)
         vals = Q + s_root * bump
         g2 = grad_l2_sq(grid, Profile(grid, vals))
         m2 = float(np.dot(W, vals * vals))

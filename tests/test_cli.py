@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -283,7 +286,11 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["constants", "--dim", "0", "--q", "auto"],
     ["fiber", "--profile", "scalar-values.json", "--a", "1.0"],
     ["fiber", "--profile", "null-rmax.json", "--a", "1.0"],
+    ["evolve", "--init", "dup.csv", "--a", "1.0", "--grid-n", "256"],
+    ["evolve", "--init", "nan-radius.csv", "--a", "1.0", "--grid-n", "256"],
+    ["fiber", "--profile", "frac.json", "--a", "1.0"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.csv").write_text("r,value\n")
@@ -293,8 +300,13 @@ def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
         '{"dim": 3, "r_max": 50, "n": 1024, "values": 3}\n')
     (tmp_path / "null-rmax.json").write_text(
         '{"dim": 3, "r_max": null, "n": 1024, "values": [1.0]}\n')
-    code, out = run_cli(args, capsys)
-    assert code == 1
+    (tmp_path / "dup.csv").write_text("r,value\n0.5,1.0\n0.5,0.9\n")
+    (tmp_path / "nan-radius.csv").write_text("r,value\nnan,1.0\n1.0,0.5\n")
+    (tmp_path / "frac.json").write_text(json.dumps(
+        {"dim": 3.5, "r_max": 30, "n": 16.9, "values": [0.1] * 16}) + "\n")
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
     doc = json.loads(out)
     assert doc["error_kind"] and doc["context"] == {"command": args[0]}
 
@@ -327,3 +339,14 @@ def test_readme_examples_parse():
     for text in examples:
         argv = shlex.split(text)[1:]
         assert parser.parse_args(argv).func.__name__.startswith("_cmd_")
+
+
+def test_cold_import_skips_scipy_optimize():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import nlscrit.cli, sys; "
+            "print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

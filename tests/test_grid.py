@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import nlscrit as nc
-from nlscrit.grid import (lq_norm_pow, profile_from_dict, profile_to_dict,
+from nlscrit.grid import (pchip, lq_norm_pow, profile_from_dict, profile_to_dict,
                           tridiag_solve)
 
 
@@ -260,3 +261,74 @@ def test_resample_between_grids():
     u = gauss_profile(g1)
     v = nc.resample(u, g2)
     assert np.max(np.abs(v.values - np.exp(-g2.nodes**2 / 2.0))) < 1e-6
+
+
+def test_profile_csv_rejects_nonfinite_and_duplicate_radii(tmp_path):
+    g = nc.make_grid(3, 10.0, 256)
+    for name, rows, radius in [("dup.csv", "0.5,1.0\n0.5,0.9\n", "0.5"),
+                               ("nanr.csv", "nan,1.0\n1.0,0.5\n", "nan"),
+                               ("infv.csv", "0.5,inf\n1.0,0.5\n", "0.5"),
+                               ("zero.csv", "0.0,1.0\n", "0.0")]:
+        path = tmp_path / name
+        path.write_text("r,value\n" + rows)
+        with pytest.raises(ValueError, match=f"{name}.*radius {radius}"):
+            nc.load_profile_csv(str(path), g)
+
+
+def test_profile_dict_requires_integer_dim_and_n():
+    doc = {"dim": 3.0, "r_max": 30.0, "n": 16.0, "values": [0.1] * 16}
+    assert profile_from_dict(doc).grid.n == 16
+    for key, bad in (("dim", 3.5), ("n", 16.9), ("n", math.inf)):
+        with pytest.raises(ValueError, match=key):
+            profile_from_dict(dict(doc, **{key: bad}))
+
+
+OSC_X = np.linspace(0.0, 6.0, 25) ** 1.3
+
+
+def _graded_knots():
+    r = nc.make_grid(3, 40.0, 8192).nodes
+    x = np.concatenate([[0.0], r, [40.0]])
+    return x, np.exp(-x ** 2 / 2.0) * (1.0 + 0.1 * np.cos(5.0 * x))
+
+
+PCHIP_DATA = {
+    "monotone": (np.array([0.0, 0.3, 0.35, 1.0, 2.5, 4.0]),
+                 np.array([-0.0, 0.1, 0.5, 0.6, 2.0, 2.1])),
+    "oscillating": (OSC_X, np.sin(3.0 * OSC_X)),
+    "flat stretches": (np.arange(10.0), np.array([1.0, 1, 1, 2, 2, 3, 3, 3, 0, 0])),
+    "two points": (np.array([0.5, 2.0]), np.array([1.0, -3.0])),
+    "graded n=8192": _graded_knots(),
+}
+
+
+@pytest.mark.parametrize("name", PCHIP_DATA)
+def test_pchip_matches_scipy_to_the_bit(name):
+    x, y = PCHIP_DATA[name]
+    span = x[-1] - x[0]
+    q = np.concatenate([x, np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 4001),
+                        [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf), np.nan]])
+    with np.errstate(all="ignore"):
+        ref = PchipInterpolator(x, y, extrapolate=False)(q)
+    got = pchip(x, y)(q)
+    outside = ~((q >= x[0]) & (q <= x[-1]))
+    assert np.array_equal(np.isnan(got), outside) and np.array_equal(np.isnan(ref), outside)
+    assert np.array_equal(got[~outside].view(np.int64), ref[~outside].view(np.int64))
+
+
+@pytest.mark.parametrize("tau", [0.7, 1.9])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_rescale_matches_scipy_pchip_to_the_bit(tau, cplx):
+    g = nc.make_grid(3, 40.0, 8192)
+    r = g.nodes
+    vals = np.exp(-r ** 2 / 2.0) * (1.0 + (0.3j if cplx else 0.3) * np.sin(r))
+    got = nc.rescale(nc.Profile(g, vals), tau).values
+
+    def ref(v):
+        v0 = v[0] + (v[0] - v[1]) * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
+        with np.errstate(all="ignore"):   # the Gaussian tail's tiny slopes overflow
+            f = PchipInterpolator(np.concatenate([[0.0], r, [g.r_max]]),
+                                  np.concatenate([[v0], v, [0.0]]), extrapolate=False)
+        return np.nan_to_num(f(tau * r), nan=0.0)
+    want = tau ** 1.5 * (ref(vals.real) + 1j * ref(vals.imag) if cplx else ref(vals))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
