@@ -95,8 +95,7 @@ def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
         if not cst.is_critical(probe):
             raise DomainError("usage", "--mass-multiple requires q = 2 + 4/N")
         ab = cst.abar(probe, cst.gn_constant(probe))
-        ex = cst.exponents(probe)
-        a = (mult * ab / args.mu) ** (2.0 / (probe.q * (1.0 - ex.gamma_q)))
+        a = (mult * ab / args.mu) ** (2.0 / (probe.q * (1.0 - probe.ex.gamma_q)))
         return probe.with_mass(a)
     if mass_text.endswith("a0"):
         head = mass_text[:-2].strip()
@@ -132,7 +131,7 @@ def _downsample(seq, cap: int = 256):
 
 def _cmd_constants(args: argparse.Namespace) -> dict:
     params = _resolve_mass(args)
-    ex = cst.exponents(params)
+    ex = params.ex
     thr = cst.thresholds(params)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -340,16 +339,19 @@ def _cmd_sweep(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_problem(p: argparse.ArgumentParser, mass: bool = True) -> None:
+def _add_problem(p: argparse.ArgumentParser, mass: bool = True):
+    """Add the problem flags; returns the --a action (None without mass flags)."""
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--q", type=str, default="2.5")
+    a_flag = None
     if mass:
         p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--a", type=str, default="auto-a0",
-                       help="mass: number, 'auto-a0', or '<k>a0'")
+        a_flag = p.add_argument("--a", type=str, default="auto-a0",
+                                help="mass: number, 'auto-a0', or '<k>a0'")
         p.add_argument("--mass-multiple", type=float, default=None,
                        help="critical q: set mu a^(q(1-gamma)/2) = k * abar_N")
     p.add_argument("--out", type=str, default=None)
+    return a_flag
 
 
 def _add_grid(p: argparse.ArgumentParser, r_max: float = 50.0) -> None:
@@ -432,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cpo, q="auto", a="1.0")
 
     p = add("evolve", help="time evolution / stability / blow-up probes")
-    _add_problem(p)
+    _add_problem(p).help += ("; only the probes renormalize to it: a plain run "
+                             "starts from the file's own mass, reported in mass[0]")
     _add_grid(p)
     p.add_argument("--init", type=str, required=True)
     p.add_argument("--dt", type=float, default=2e-3)

@@ -34,12 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cst
+from . import functionals as fnl
 from .grid import Profile, RadialGrid, lq_norm_pow, mass, rescale, tridiag_solve
 
 RESOLUTION_CAP = 0.5      # largest accepted dt * max|potential|
 GROWTH_TRIGGER = 1.05     # kinetic-norm growth in one step that halves dt
 DT_MIN = 1e-8             # a step size below this raises the blow-up indicator
 BLOWUP_FACTOR = 1e3       # so does kinetic-norm growth beyond this factor
+STABILITY_STRIDE = 20     # steps between the samples of stability_probe
 
 
 @dataclass
@@ -61,20 +63,11 @@ class _RelaxationStepper:
         self.params = params
         self.grid = grid
         self.linear = linear
-        self.ex = cst.exponents(params)
-
-    def energy(self, psi: np.ndarray) -> float:
-        ts, q, mu = self.ex.two_star, self.params.q, self.params.mu
-        kin = 0.5 * self.grid.stiffness_quad(psi)
-        if self.linear:
-            return kin
-        return kin - lq_norm_pow(self.grid, psi, ts) / ts \
-            - mu / q * lq_norm_pow(self.grid, psi, q)
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
         if self.linear:
             return np.zeros_like(rho)
-        ts, q, mu = self.ex.two_star, self.params.q, self.params.mu
+        ts, q, mu = self.params.ex.two_star, self.params.q, self.params.mu
         with np.errstate(under="ignore"):
             return rho ** (ts / 2.0 - 1.0) + mu * rho ** (q / 2.0 - 1.0)
 
@@ -131,17 +124,26 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
     psi = psi0.values.astype(complex)
     ups = stepper.potential(np.abs(psi) ** 2)
     probe_idx = int(np.argmax(np.abs(psi))) if np.any(psi != 0.0) else 0
-    g0 = math.sqrt(max(grid.stiffness_quad(psi), 1e-300))
+    ref = None if reference is None else reference.values.astype(complex)
+    times, masses, energies, grads, probes = [], [], [], [], []
+    dists = None if ref is None else []
 
-    times = [0.0]
-    masses = [mass(grid, psi)]
-    energies = [stepper.energy(psi)]
-    grads = [math.sqrt(max(grid.stiffness_quad(psi), 0.0))]
-    probes = [psi[probe_idx]]
-    dists = None
-    if reference is not None:
-        ref = reference.values.astype(complex)
-        dists = [h1_distance(grid, psi, ref)]
+    def record(t: float, psi: np.ndarray, uau: float) -> None:
+        """Sample psi, given its u.A.u; the linear flow has no potential terms."""
+        m = mass(grid, psi)
+        pots = (0.0, 0.0) if linear else (lq_norm_pow(grid, psi, params.ex.two_star),
+                                          lq_norm_pow(grid, psi, params.q))
+        times.append(t)
+        masses.append(m)
+        energies.append(fnl.FiberNorms(uau, *pots, m).energy(params))
+        grads.append(math.sqrt(max(uau, 0.0)))
+        probes.append(psi[probe_idx])
+        if dists is not None:
+            dists.append(h1_distance(grid, psi, ref))
+
+    uau = grid.stiffness_quad(psi)
+    g0 = math.sqrt(max(uau, 1e-300))
+    record(0.0, psi, uau)
 
     t = 0.0
     cur_dt = dt
@@ -159,9 +161,9 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
                                "the step size may be collapsing")
         h = min(cur_dt, t_end - t)
         out = stepper.step(psi, ups, h)
-        gnorm = None
         if out is not None:
-            gnorm = math.sqrt(max(grid.stiffness_quad(out[0]), 0.0))
+            uau = grid.stiffness_quad(out[0])
+            gnorm = math.sqrt(max(uau, 0.0))
             grew = gnorm > GROWTH_TRIGGER * gnorm_prev and gnorm > GROWTH_TRIGGER * g0
             if grew and cur_dt > 2.0 * DT_MIN:
                 out = None      # under-resolved focusing: retry smaller
@@ -184,19 +186,13 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
                 ups = stepper.potential(np.abs(psi) ** 2)
                 ok_streak = 0
         gnorm_prev = gnorm
-        record = (steps % stride == 0) or t >= t_end - 1e-12
+        sample = (steps % stride == 0) or t >= t_end - 1e-12
         if gnorm > BLOWUP_FACTOR * g0:
             blowup = True
             blowup_time = t
-            record = True
-        if record:
-            times.append(t)
-            masses.append(mass(grid, psi))
-            energies.append(stepper.energy(psi))
-            grads.append(gnorm)
-            probes.append(psi[probe_idx])
-            if dists is not None:
-                dists.append(h1_distance(grid, psi, ref))
+            sample = True
+        if sample:
+            record(t, psi, uau)
         if blowup:
             break
     return TrajectorySummary(
@@ -217,15 +213,14 @@ class StabilityReport:
 
 
 def stability_probe(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
-                    eps: float, t_end: float, dt: float = 2e-3,
-                    stride: int = 20) -> StabilityReport:
+                    eps: float, t_end: float, dt: float = 2e-3) -> StabilityReport:
     """Evolve a bump-perturbed standing-wave profile and track the phase-
     modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u, mass
     renormalized; eps may be negative."""
     vals = (1.0 + eps * np.exp(-grid.nodes ** 2)) * u.values
     vals = vals * math.sqrt(params.a / mass(grid, vals))
     psi0 = Profile(grid, vals.astype(complex))
-    summary = evolve(params, grid, psi0, dt, t_end, reference=u, stride=stride)
+    summary = evolve(params, grid, psi0, dt, t_end, reference=u, stride=STABILITY_STRIDE)
     d0 = summary.h1_distance[0]
     dmax = float(np.max(summary.h1_distance))
     growth = dmax / d0 if d0 > 0.0 else (math.inf if dmax > 0.0 else 1.0)

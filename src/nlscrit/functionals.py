@@ -24,6 +24,7 @@ from . import constants as cst
 from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass
 
 MASS_RTOL = 1e-6
+FIBER_SAMPLES = 512    # log-spaced tau in [1e-6, 1e6] recorded by fiber_critical_points
 
 
 class RegimeError(ValueError):
@@ -36,40 +37,45 @@ class StructuralAnomalyError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiberNorms:
+    """The norms of u, and E, P and lambda written in them."""
+
     grad2: float   # ||grad u||_2^2
     crit: float    # int |u|^ts
     sub: float     # int |u|^q
     mass: float    # int |u|^2
 
+    def energy(self, params: cst.ProblemParams) -> float:
+        """E(u) = 1/2 ||grad u||^2 - 1/ts int |u|^ts - mu/q int |u|^q."""
+        return 0.5 * self.grad2 - self.crit / params.ex.two_star \
+            - params.mu / params.q * self.sub
+
+    def pohozaev(self, params: cst.ProblemParams) -> float:
+        """P(u) = ||grad u||^2 - int |u|^ts - mu gamma_q int |u|^q."""
+        return self.grad2 - self.crit - params.mu * params.ex.gamma_q * self.sub
+
+    def lagrange_multiplier(self, params: cst.ProblemParams) -> float:
+        """lambda = (||grad u||^2 - int |u|^ts - mu int |u|^q) / ||u||_2^2, the
+        stationary equation paired with u: meaningful when u nearly solves it."""
+        return (self.grad2 - self.crit - params.mu * self.sub) / self.mass
+
 
 def fiber_norms(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> FiberNorms:
-    ex = cst.exponents(params)
     return FiberNorms(grad2=grad_l2_sq(grid, u),
-                      crit=lq_norm_pow(grid, u, ex.two_star),
+                      crit=lq_norm_pow(grid, u, params.ex.two_star),
                       sub=lq_norm_pow(grid, u, params.q),
                       mass=mass(grid, u))
 
 
 def energy(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> float:
-    """E(u) = 1/2 ||grad u||^2 - 1/ts int |u|^ts - mu/q int |u|^q."""
-    nm = fiber_norms(params, grid, u)
-    ex = cst.exponents(params)
-    return 0.5 * nm.grad2 - nm.crit / ex.two_star - params.mu / params.q * nm.sub
+    return fiber_norms(params, grid, u).energy(params)
 
 
 def pohozaev(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> float:
-    """P(u) = ||grad u||^2 - int |u|^ts - mu gamma_q int |u|^q."""
-    nm = fiber_norms(params, grid, u)
-    ex = cst.exponents(params)
-    return nm.grad2 - nm.crit - params.mu * ex.gamma_q * nm.sub
+    return fiber_norms(params, grid, u).pohozaev(params)
 
 
 def lagrange_multiplier(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> float:
-    """lambda = (||grad u||^2 - int |u|^ts - mu int |u|^q) / ||u||_2^2,
-    obtained by pairing the stationary equation with u itself.  Meaningful
-    when u approximately solves it; no residual check is enforced here."""
-    nm = fiber_norms(params, grid, u)
-    return (nm.grad2 - nm.crit - params.mu * nm.sub) / nm.mass
+    return fiber_norms(params, grid, u).lagrange_multiplier(params)
 
 
 def brentq(f, a: float, b: float) -> float:
@@ -131,7 +137,7 @@ def brentq(f, a: float, b: float) -> float:
 # fiber maps as functions of tau, given the norms of the base profile
 
 def psi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndarray:
-    ex = cst.exponents(params)
+    ex = params.ex
     tau = np.asarray(tau, dtype=float)
     with np.errstate(under="ignore"):
         out = (0.5 * tau**2 * nm.grad2
@@ -141,7 +147,7 @@ def psi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndar
 
 
 def phi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndarray:
-    ex = cst.exponents(params)
+    ex = params.ex
     tau = np.asarray(tau, dtype=float)
     with np.errstate(under="ignore"):
         out = (tau**2 * nm.grad2 - tau**ex.two_star * nm.crit
@@ -150,7 +156,7 @@ def phi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndar
 
 
 def psi_second(params: cst.ProblemParams, nm: FiberNorms, tau: float) -> float:
-    ex = cst.exponents(params)
+    ex = params.ex
     ts, gq = ex.two_star, ex.q_gamma_q
     return (nm.grad2 - (ts - 1.0) * tau ** (ts - 2.0) * nm.crit
             - params.mu * ex.gamma_q * (gq - 1.0) * tau ** (gq - 2.0) * nm.sub)
@@ -167,8 +173,9 @@ class FiberReport:
     samples: list = field(default_factory=list, repr=False)  # (tau, psi, phi)
 
 
-def _reduced(params, nm, ex):
+def _reduced(params, nm):
     """phi(tau) / tau^(q gamma_q): increases to a single peak, then falls."""
+    ex = params.ex
     ts, gq = ex.two_star, ex.q_gamma_q
 
     def red(tau: float) -> float:
@@ -179,8 +186,7 @@ def _reduced(params, nm, ex):
 
 
 def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
-                          thresholds: cst.Thresholds | None = None,
-                          n_samples: int = 512) -> FiberReport:
+                          thresholds: cst.Thresholds | None = None) -> FiberReport:
     """Locate the dilation parameters where P(u_tau) = 0.
 
     Requires u on the mass sphere (relative tolerance MASS_RTOL).  Below the
@@ -194,11 +200,11 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
     if abs(nm.mass - params.a) > MASS_RTOL * params.a:
         raise ValueError(
             f"u is not on the mass sphere: ||u||_2^2 = {nm.mass:.12g}, a = {params.a:.12g}")
-    ex = cst.exponents(params)
+    ex = params.ex
     if ex.q_class == "supercritical":
         raise RegimeError("no fiber analysis above the mass-critical exponent")
 
-    taus = np.logspace(-6.0, 6.0, n_samples)
+    taus = np.logspace(-6.0, 6.0, FIBER_SAMPLES)
     samples = list(zip(taus.tolist(),
                        np.asarray(psi_value(params, nm, taus)).tolist(),
                        np.asarray(phi_value(params, nm, taus)).tolist()))
@@ -228,7 +234,7 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
             "no two-root fiber structure is available above the threshold curve "
             "(regime Omega3); refuse rather than guess")
 
-    red, peak = _reduced(params, nm, ex)
+    red, peak = _reduced(params, nm)
     if red(peak) <= 0.0:
         raise StructuralAnomalyError(
             "fiber map has no root although the regime guarantees two; "

@@ -424,6 +424,8 @@ def load_profile_csv(path: str, grid: RadialGrid) -> Profile:
             r, v = float(row[0]), float(row[1])
             if not (isfinite(r) and isfinite(v)):
                 raise ValueError(f"{path}: non-finite row at radius {r!r}: value {v!r}")
+            if r < 0.0:
+                raise ValueError(f"{path}: negative radius {r!r}")
             rs.append(r)
             vs.append(v)
     if not rs:

@@ -33,6 +33,7 @@ STEP0 = 0.5
 STEP_MAX = 4.0
 ARMIJO = 1e-4
 PRECOND_SHIFT = 1.0       # alpha in (alpha - Laplacian)^-1
+BALL_MARGIN = 0.9         # the initial profile is dilated below this * rho0
 
 
 @dataclass
@@ -48,72 +49,63 @@ class SolveReport:
     converged: bool
 
 
-def _norms(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGrid,
-           u: np.ndarray):
-    """(u.A.u, int |u|^2*, int |u|^q, the multiplier lambda at mass a)."""
-    g2 = grid.stiffness_quad(u)
-    s = lq_norm_pow(grid, u, ex.two_star)
-    h = lq_norm_pow(grid, u, params.q)
-    return g2, s, h, (g2 - s - params.mu * h) / params.a
+def _norms(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray) -> fnl.FiberNorms:
+    """The norms of u in the solvers' kinetic form u.A.u, at mass a (so the
+    multiplier is the one of the mass sphere)."""
+    return fnl.FiberNorms(grid.stiffness_quad(u), lq_norm_pow(grid, u, params.ex.two_star),
+                          lq_norm_pow(grid, u, params.q), params.a)
 
 
-def _energy(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGrid,
-            u: np.ndarray) -> float:
-    g2, s, h, _ = _norms(params, ex, grid, u)
-    return 0.5 * g2 - s / ex.two_star - params.mu / params.q * h
-
-
-def _nonlinear(params: cst.ProblemParams, ex: cst.Exponents, u: np.ndarray) -> np.ndarray:
+def _nonlinear(params: cst.ProblemParams, u: np.ndarray) -> np.ndarray:
     au = np.abs(u)
-    return au ** (ex.two_star - 2.0) * u + params.mu * au ** (params.q - 2.0) * u
+    return au ** (params.ex.two_star - 2.0) * u + params.mu * au ** (params.q - 2.0) * u
 
 
-def _nonlinear_prime(params: cst.ProblemParams, ex: cst.Exponents,
-                     u: np.ndarray) -> np.ndarray:
-    ts, q = ex.two_star, params.q
+def _nonlinear_prime(params: cst.ProblemParams, u: np.ndarray) -> np.ndarray:
+    ts, q = params.ex.two_star, params.q
     au = np.abs(u)
     return (ts - 1.0) * au ** (ts - 2.0) + params.mu * (q - 1.0) * au ** (q - 2.0)
 
 
-def _projected_gradient(params: cst.ProblemParams, ex: cst.Exponents,
-                        grid: RadialGrid, u: np.ndarray, lam: float):
+def _projected_gradient(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
+                        lam: float):
     """(g, ||g||_W): g = A u / W - N(u) - lam u, the energy gradient in the
     weighted L^2 metric projected onto the tangent space of the mass sphere."""
     W = grid.full_weights
-    g = grid.stiffness_apply(u) / W - _nonlinear(params, ex, u) - lam * u
+    g = grid.stiffness_apply(u) / W - _nonlinear(params, u) - lam * u
     return g, math.sqrt(float(np.dot(W, g * g)))
 
 
 def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
-                       rho0: float, margin: float = 0.9) -> Profile:
-    """Dilate u (tau < 1) until ||grad u||^2 < margin * rho0, keeping mass."""
+                       rho0: float) -> Profile:
+    """Dilate u (tau < 1) until ||grad u||^2 < BALL_MARGIN * rho0, keeping mass."""
     a = params.a
     cur = Profile(grid, u.values * math.sqrt(a / mass(grid, u)))
     for _ in range(8):
         g2 = grid.stiffness_quad(cur.values)
-        if g2 < margin * rho0:
+        if g2 < BALL_MARGIN * rho0:
             return cur
-        tau = math.sqrt(margin * rho0 / g2) * 0.98
+        tau = math.sqrt(BALL_MARGIN * rho0 / g2) * 0.98
         cur = rescale(cur, tau)
         cur = Profile(grid, cur.values * math.sqrt(a / mass(grid, cur)))
     raise RuntimeError("could not dilate the initial profile into the kinetic ball")
 
 
-def _newton_polish(params: cst.ProblemParams, ex: cst.Exponents, grid: RadialGrid,
-                   u: np.ndarray, target: float):
+def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
+                   target: float):
     """Newton on (stationary equation, mass constraint); returns (u, ok, res)."""
     W, a = grid.full_weights, params.a
     diag, off = grid.stiffness_bands()
     sc = 1.0 / np.sqrt(diag + W)
     u = u.copy()
     for _ in range(NEWTON_MAX):
-        *_, lam = _norms(params, ex, grid, u)
-        F = grid.stiffness_apply(u) - W * (_nonlinear(params, ex, u) + lam * u)
+        lam = _norms(params, grid, u).lagrange_multiplier(params)
+        F = grid.stiffness_apply(u) - W * (_nonlinear(params, u) + lam * u)
         res = math.sqrt(float(np.dot(F * F, 1.0 / W)))
         if res < target:
             return u, True, res
         try:
-            jac = diag - W * (_nonlinear_prime(params, ex, u) + lam)
+            jac = diag - W * (_nonlinear_prime(params, u) + lam)
             X = scaled_tridiag_solve(off, jac, np.column_stack([-F, W * u]), sc)
         except np.linalg.LinAlgError:
             return u, False, res
@@ -147,7 +139,6 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         raise fnl.RegimeError(
             f"local minimization requires regime Omega1 or Omega2, got {thresholds.regime}")
     rho0 = thresholds.rho0
-    ex = cst.exponents(params)
     a = params.a
 
     if init is None:
@@ -157,17 +148,16 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
     precond_diag = PRECOND_SHIFT * W + diag
-    E = _energy(params, ex, grid, u)
+    nm = _norms(params, grid, u)
+    E = nm.energy(params)
     step = STEP0
     trace = []
     boundary_hit = False
     res = math.inf
     it = flat = 0
     for it in range(MAX_ITER):
-        g2, s, h, lam = _norms(params, ex, grid, u)
-        gproj, res = _projected_gradient(params, ex, grid, u, lam)
-        P = g2 - s - params.mu * ex.gamma_q * h
-        trace.append((it, E, P, g2))
+        gproj, res = _projected_gradient(params, grid, u, nm.lagrange_multiplier(params))
+        trace.append((it, E, nm.pohozaev(params), nm.grad2))
         # the residual can plateau just above the switch while E is flat to
         # rounding: 8 accepted steps in a row that each gain <= 4 eps |E|
         # also hand over to Newton
@@ -187,7 +177,8 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                 rejected_boundary += 1
                 step *= 0.5
                 continue
-            Ev = _energy(params, ex, grid, v)
+            nv = _norms(params, grid, v)
+            Ev = nv.energy(params)
             if Ev <= E - ARMIJO * step * dd:
                 accepted = True
                 break
@@ -197,26 +188,25 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                 boundary_hit = True
             break
         flat = flat + 1 if E - Ev <= 2.0 ** -50 * abs(E) else 0   # 4 eps
-        u, E = v, Ev
+        u, E, nm = v, Ev, nv
         step = min(step * 1.5, STEP_MAX)
 
     if not boundary_hit:
-        u_new, ok, _ = _newton_polish(params, ex, grid, u, 0.01 * (tol * max(1.0, abs(E))))
+        u_new, ok, _ = _newton_polish(params, grid, u, 0.01 * (tol * max(1.0, abs(E))))
         u_new *= math.sqrt(a / mass(grid, u_new))   # Newton meets the mass to ~1e-10
         if ok and grid.stiffness_quad(u_new) < rho0:
             # recompute the projected residual actually reported
-            *_, lam = _norms(params, ex, grid, u_new)
-            _, res_new = _projected_gradient(params, ex, grid, u_new, lam)
+            nn = _norms(params, grid, u_new)
+            lam = nn.lagrange_multiplier(params)
+            _, res_new = _projected_gradient(params, grid, u_new, lam)
             if res_new < res:
-                u, res = u_new, res_new
-                E = _energy(params, ex, grid, u)
+                u, res, E, nm = u_new, res_new, nn.energy(params), nn
 
     converged = res < tol * max(1.0, abs(E))
-    g2, s, h, lam = _norms(params, ex, grid, u)
-    P = g2 - s - params.mu * ex.gamma_q * h
     if np.dot(W, u) < 0.0:   # sign normalization
         u = -u
-    return SolveReport(final=Profile(grid, u), energy=E, pohozaev=P, lam=lam,
+    return SolveReport(final=Profile(grid, u), energy=E, pohozaev=nm.pohozaev(params),
+                       lam=nm.lagrange_multiplier(params),
                        grad_residual=res, iterations=it + 1,
                        trace=trace, boundary_hit=boundary_hit,
                        converged=converged and not boundary_hit)
@@ -265,7 +255,6 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
         raise fnl.RegimeError("boundary scan requires regime Omega1 or Omega2")
     rho0 = thresholds.rho0
-    ex = cst.exponents(params)
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
@@ -278,7 +267,7 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
             if abs(g2 / rho0 - 1.0) < 1e-7:
                 break
             tau *= math.sqrt(rho0 / g2)
-        best = min(best, _energy(params, ex, grid, p.values))
+        best = min(best, _norms(params, grid, p.values).energy(params))
     return best
 
 

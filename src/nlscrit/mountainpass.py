@@ -33,6 +33,8 @@ from . import profiles
 from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass, rescale
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
+BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
+BUMP_HALF_WIDTH = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +173,9 @@ class CpoSequenceReport:
     details: dict = field(default_factory=dict, repr=False)
 
 
-def _require_critical(params: cst.ProblemParams) -> cst.Exponents:
-    ex = cst.exponents(params)
-    if ex.q_class != "critical":
+def _require_critical(params: cst.ProblemParams) -> None:
+    if params.ex.q_class != "critical":
         raise fnl.RegimeError("the vanishing-infimum constructions require q = 2 + 4/N")
-    return ex
 
 
 def _one_minus_pow(s: np.ndarray, p: float) -> np.ndarray:
@@ -200,14 +200,14 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     hit rounding noise already at moderate cutoff radii, since the excess
     decays like exp(-2 kappa n).
     """
-    ex = _require_critical(params)
+    _require_critical(params)
     n_values = sorted(float(v) for v in n_values)
     if not n_values:
         raise ValueError("need at least one cutoff radius")
     if 2.0 * max(n_values) > grid.r_max:
         raise ValueError(f"cutoff support 2*{max(n_values)} exceeds r_max = {grid.r_max}")
     N, q, mu = params.dim, params.q, params.mu
-    ts, gam = ex.two_star, ex.gamma_q
+    ts, gam = params.ex.two_star, params.ex.gamma_q
 
     Q = profiles.weinstein_ground_state(N, q, grid)
     mQ = mass(grid, Q)
@@ -263,9 +263,9 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
                                       "C_Nq_pow_q_discrete": Cq_disc})
 
 
-def _mollifier_bump(r: np.ndarray, center: float = 1.5, half_width: float = 0.5) -> np.ndarray:
-    """Smooth compactly supported bump on [center - hw, center + hw]."""
-    x = (np.asarray(r) - center) / half_width
+def _mollifier_bump(r: np.ndarray) -> np.ndarray:
+    """Smooth compactly supported bump on BUMP_CENTER -+ BUMP_HALF_WIDTH."""
+    x = (np.asarray(r) - BUMP_CENTER) / BUMP_HALF_WIDTH
     out = np.zeros_like(x)
     inside = np.abs(x) < 1.0
     with np.errstate(over="ignore", under="ignore"):
@@ -284,12 +284,12 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
     exact norm algebra) to mass a and unit L^q norm, after which the
     kinetic excess equals A_n identically.
     """
-    ex = _require_critical(params)
+    _require_critical(params)
     A_values = [float(x) for x in A_values]
     if any(x <= 0.0 for x in A_values) or not A_values:
         raise ValueError("offsets A_n must be positive")
     N, q, mu, a = params.dim, params.q, params.mu, params.a
-    ts, gam = ex.two_star, ex.gamma_q
+    ts, gam = params.ex.two_star, params.ex.gamma_q
 
     Q = profiles.weinstein_ground_state(N, q, grid).values
     bump = _mollifier_bump(grid.nodes)
@@ -388,7 +388,7 @@ def omega2_positivity_probe(params: cst.ProblemParams, grid: RadialGrid,
         raise fnl.RegimeError("the probe requires regime Omega1 or Omega2")
     rng = np.random.default_rng(seed)
     rho0 = thresholds.rho0
-    gam = cst.exponents(params).gamma_q
+    gam = params.ex.gamma_q
     levels = np.empty(trials)
     diags = []
     for i in range(trials):

@@ -49,24 +49,15 @@ NEWTON_MAX = 20
 NEWTON_FLOOR = 1e-8
 
 
-def weinstein_ground_state(dim_or_params, q: float | None = None,
-                           grid: RadialGrid | None = None) -> Profile:
+def weinstein_ground_state(dim: int, q: float, grid: RadialGrid) -> Profile:
     """Discrete ground state of the scalar field equation on `grid`.
 
-    Accepts either (dim, q, grid) or (params, grid).  Solves
-    A K u + B W u = W |u|^(q-2) u with the grid's stiffness K and weights W:
-    Petviashvili iteration down to a relative residual PETVIASHVILI_TOL,
-    then tridiagonal Newton down to NEWTON_TOL (or the rounding floor).
+    Solves A K u + B W u = W |u|^(q-2) u with the grid's stiffness K and
+    weights W: Petviashvili iteration down to a relative residual
+    PETVIASHVILI_TOL, then tridiagonal Newton down to NEWTON_TOL (or the
+    rounding floor).
     """
-    if q is None or isinstance(q, RadialGrid):
-        params = dim_or_params
-        grid = q if isinstance(q, RadialGrid) else grid
-        dim, qq = params.dim, params.q
-    else:
-        dim, qq = int(dim_or_params), float(q)
-    if grid is None:
-        raise ValueError("a sampling grid is required")
-    A, B = ode_coefficients(dim, qq)
+    A, B = ode_coefficients(dim, q)
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
     L_diag, L_off = A * diag + B * W, A * off
@@ -74,23 +65,23 @@ def weinstein_ground_state(dim_or_params, q: float | None = None,
 
     def residual(u):
         Lu = A * grid.stiffness_apply(u) + B * W * u
-        nl = W * np.abs(u) ** (qq - 2.0) * u
+        nl = W * np.abs(u) ** (q - 2.0) * u
         return Lu, nl, float(np.linalg.norm(Lu - nl) / np.linalg.norm(nl))
 
     with np.errstate(under="ignore"):
-        u = B ** (1.0 / (qq - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
+        u = B ** (1.0 / (q - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
         for _ in range(PETVIASHVILI_MAX):
             Lu, nl, res = residual(u)
             if res < PETVIASHVILI_TOL:
                 break
-            stab = (np.dot(u, Lu) / np.dot(u, nl)) ** ((qq - 1.0) / (qq - 2.0))
+            stab = (np.dot(u, Lu) / np.dot(u, nl)) ** ((q - 1.0) / (q - 2.0))
             u = stab * tridiag_solve(L_off, L_diag, nl)
         else:
             raise RuntimeError(f"Petviashvili iteration stalled at residual {res:.2e}")
         for _ in range(NEWTON_MAX):
             if res < NEWTON_TOL:
                 break
-            jac = L_diag - (qq - 1.0) * W * np.abs(u) ** (qq - 2.0)
+            jac = L_diag - (q - 1.0) * W * np.abs(u) ** (q - 2.0)
             v = u - scaled_tridiag_solve(L_off, jac, Lu - nl, sc)
             Lv, nv, res_v = residual(v)
             if not res_v < res:
@@ -101,12 +92,12 @@ def weinstein_ground_state(dim_or_params, q: float | None = None,
     return Profile(grid, u)
 
 
-def aubin_talenti(dim: int, b: float, grid: RadialGrid, amplitude: float = 1.0) -> Profile:
-    """Extremal bubble amplitude * (b / (b^2 + r^2))^((N-2)/2)."""
-    if b <= 0.0 or amplitude <= 0.0:
-        raise ValueError("b and amplitude must be positive")
+def aubin_talenti(dim: int, b: float, grid: RadialGrid) -> Profile:
+    """Extremal bubble (b / (b^2 + r^2))^((N-2)/2)."""
+    if b <= 0.0:
+        raise ValueError("b must be positive")
     r = grid.nodes
-    vals = amplitude * (b / (b * b + r * r)) ** ((dim - 2.0) / 2.0)
+    vals = (b / (b * b + r * r)) ** ((dim - 2.0) / 2.0)
     return Profile(grid, vals)
 
 
@@ -204,9 +195,12 @@ class TrialFunction:
         return Profile(grid, vals * math.sqrt(target_mass / m))
 
 
-def random_trial(rng: np.random.Generator, sigma_range=(0.6, 2.5),
-                 coeff_scale: float = 0.3) -> TrialFunction:
-    lo, hi = sigma_range
+TRIAL_SIGMA_RANGE = (0.6, 2.5)   # log-uniform widths of random_trial
+TRIAL_COEFF_SCALE = 0.3          # its modulation coefficients are uniform in -+ this
+
+
+def random_trial(rng: np.random.Generator) -> TrialFunction:
+    lo, hi = TRIAL_SIGMA_RANGE
     sigma = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    coeffs = tuple(rng.uniform(-coeff_scale, coeff_scale, size=3))
+    coeffs = tuple(rng.uniform(-TRIAL_COEFF_SCALE, TRIAL_COEFF_SCALE, size=3))
     return TrialFunction(sigma=sigma, coeffs=coeffs)

@@ -223,6 +223,25 @@ def test_sweep_solves_each_column_once(capsys, monkeypatch):
             assert float(m_a) < 0.0 < float(level) and error == ""
 
 
+def test_sweep_solves_ground_state_once(capsys, monkeypatch):
+    # C_Nq is cached per (N, q): every mu of the sweep, and every dilation of
+    # its solves, reuses the one ground state
+    calls = []
+    solve = cli.profiles.weinstein_ground_state
+
+    def counted(*args):
+        calls.append(args[:2])
+        return solve(*args)
+
+    monkeypatch.setattr(cli.profiles, "weinstein_ground_state", counted)
+    cli.cst._gn_constant_cached.cache_clear()
+    code, _ = run_cli(["sweep", "--dim", "3", "--q", "2.5", "--mu-range", "0.5:2:3",
+                       "--a-rel-range", "0.5:1.5:3", "--with-ma", "--grid-n", "2048"],
+                      capsys)
+    assert code == 0
+    assert calls == [(3, 2.5)]
+
+
 def test_sweep_unconverged_solve_is_row_error(capsys, monkeypatch):
     def unconverged(params, g, tol, thr):
         return params, thr, cli.minmod.SolveReport(
@@ -289,6 +308,8 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["evolve", "--init", "dup.csv", "--a", "1.0", "--grid-n", "256"],
     ["evolve", "--init", "nan-radius.csv", "--a", "1.0", "--grid-n", "256"],
     ["fiber", "--profile", "frac.json", "--a", "1.0"],
+    ["evolve", "--init", "neg.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
+     "--dt", "1e-3", "--t-end", "0.002"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
@@ -302,6 +323,7 @@ def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
         '{"dim": 3, "r_max": null, "n": 1024, "values": [1.0]}\n')
     (tmp_path / "dup.csv").write_text("r,value\n0.5,1.0\n0.5,0.9\n")
     (tmp_path / "nan-radius.csv").write_text("r,value\nnan,1.0\n1.0,0.5\n")
+    (tmp_path / "neg.csv").write_text("r,value\n-1.0,5.0\n0.5,1.0\n1.0,0.5\n2.0,0.1\n")
     (tmp_path / "frac.json").write_text(json.dumps(
         {"dim": 3.5, "r_max": 30, "n": 16.9, "values": [0.1] * 16}) + "\n")
     code = cli.main(args)

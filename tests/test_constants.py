@@ -41,6 +41,12 @@ def test_exponents_critical_float_tolerance():
     assert ex.q_class == "critical"
 
 
+def test_exponents_derived_once_per_params():
+    p = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    assert nc.exponents(p) is nc.exponents(p)
+    assert p.with_mass(2.0) == nc.ProblemParams(3, 2.5, 1.0, 2.0)
+
+
 def test_params_rejects_bad_q():
     with pytest.raises(ValueError):
         nc.ProblemParams(3, 2.0, 1.0, 1.0)

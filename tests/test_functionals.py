@@ -85,9 +85,8 @@ def test_two_root_structure_subcritical(params_half, soliton_grid, thr_half):
 
 def test_fiber_samples_recorded(params_half, soliton_grid, thr_half):
     u = profiles.gaussian(params_half, 1.0, soliton_grid)
-    rep = fnl.fiber_critical_points(params_half, soliton_grid, u,
-                                    thresholds=thr_half, n_samples=128)
-    assert len(rep.samples) == 128
+    rep = fnl.fiber_critical_points(params_half, soliton_grid, u, thresholds=thr_half)
+    assert len(rep.samples) == 512
     tau0, psi0, phi0 = rep.samples[0]
     nm = fnl.fiber_norms(params_half, soliton_grid, u)
     assert psi0 == pytest.approx(fnl.psi_value(params_half, nm, tau0), rel=1e-12)

@@ -268,7 +268,8 @@ def test_profile_csv_rejects_nonfinite_and_duplicate_radii(tmp_path):
     for name, rows, radius in [("dup.csv", "0.5,1.0\n0.5,0.9\n", "0.5"),
                                ("nanr.csv", "nan,1.0\n1.0,0.5\n", "nan"),
                                ("infv.csv", "0.5,inf\n1.0,0.5\n", "0.5"),
-                               ("zero.csv", "0.0,1.0\n", "0.0")]:
+                               ("zero.csv", "0.0,1.0\n", "0.0"),
+                               ("neg.csv", "0.5,1.0\n-1.0,5.0\n", "-1.0")]:
         path = tmp_path / name
         path.write_text("r,value\n" + rows)
         with pytest.raises(ValueError, match=f"{name}.*radius {radius}"):

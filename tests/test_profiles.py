@@ -96,13 +96,6 @@ def test_gn_constant_pinned(dim, q, C_ref):
     assert C == pytest.approx(C_ref, rel=1e-10)
 
 
-def test_ground_state_params_signature(base325):
-    g = nc.make_grid(3, 50.0, 1024)
-    Q1 = profiles.weinstein_ground_state(base325, g)
-    Q2 = profiles.weinstein_ground_state(3, 2.5, g)
-    assert np.array_equal(Q1.values, Q2.values)
-
-
 def test_bubble_values_and_quotient(sharp3):
     S, _ = sharp3
     # at N = 3 the kinetic tail decays like 1/r: truncating at 1e3 leaves a
