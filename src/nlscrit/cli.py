@@ -78,7 +78,8 @@ def _document(doc: dict) -> str:
     return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
-def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
+def _problem(args: argparse.Namespace) -> cst.ProblemParams:
+    """(N, q, mu) of the flags, at mass 1."""
     qtext = args.q
     if qtext == "auto":   # mass-critical exponent for this dimension
         from fractions import Fraction
@@ -86,7 +87,11 @@ def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
             raise ValueError(f"dim must be >= 3, got {args.dim}")
         qtext = str(Fraction(2) + Fraction(4, args.dim))
     qval, qexact = cst.parse_q(qtext)
-    probe = cst.ProblemParams(args.dim, qval, args.mu, 1.0, qexact)
+    return cst.ProblemParams(args.dim, qval, args.mu, 1.0, qexact)
+
+
+def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
+    probe = _problem(args)
     mass_text = args.a.strip()
     mult = args.mass_multiple
     if mult is not None:
@@ -248,7 +253,8 @@ def _cmd_cpo(args: argparse.Namespace) -> dict:
 
 
 def _cmd_evolve(args: argparse.Namespace):
-    params = _resolve_mass(args)
+    # only the probes renormalize to the mass --a; a plain run keeps the file's
+    params = _problem(args) if args.probe == "none" else _resolve_mass(args)
     u = _load_profile_arg(args.init, args)
     g = u.grid
     dt, t_end = args.dt, args.t_end
@@ -356,14 +362,28 @@ def _add_problem(p: argparse.ArgumentParser, mass: bool = True):
 
 def _add_grid(p: argparse.ArgumentParser, r_max: float = 50.0) -> None:
     p.add_argument("--grid-n", type=int, default=8192)
-    p.add_argument("--r-max", type=float, default=r_max)
-    p.add_argument("--grading", type=float, default=0.0)
+    p.add_argument("--r-max", type=_finite("--r-max"), default=r_max)
+    p.add_argument("--grading", type=_finite("--grading"), default=0.0)
     p.add_argument("--origin-blend", type=float, default=0.0,
                    help="blend toward uniform spacing at the origin (evolution grids)")
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8)
+
+
+def _finite(flag: str):
+    """argparse type of a float flag that must be finite.  A non-finite value
+    is a domain error of the value, like the range checks of the commands:
+    it raises DomainError, which argparse passes on to `main`'s error
+    document, instead of a usage message on stderr."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise DomainError("usage", f"{flag} must be finite, got {text}")
+        return value
+    parse.__name__ = "float"   # argparse's name for it when text is no number
+    return parse
 
 
 def _parse_range(text: str):
@@ -438,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "starts from the file's own mass, reported in mass[0]")
     _add_grid(p)
     p.add_argument("--init", type=str, required=True)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--dt", type=_finite("--dt"), default=2e-3)
+    p.add_argument("--t-end", type=_finite("--t-end"), default=1.0)
     p.add_argument("--probe", choices=("none", "stability", "blowup"), default="none")
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--amp", type=float, default=1.05)
@@ -460,8 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # a DomainError of a flag's type leaves parse_args with the command set
+    # and --out unknown, so its error document goes to stdout
+    args = argparse.Namespace(out=None)
     try:
+        build_parser().parse_args(argv, args)
         result = args.func(args)
         _write(result if isinstance(result, str) else _document(result), args.out)
         return 0

@@ -76,6 +76,8 @@ class ProblemParams:
             raise ValueError("a (mass) must be positive")
         if not (math.isfinite(self.mu) and math.isfinite(self.a)):
             raise ValueError(f"mu and a must be finite, got mu={self.mu}, a={self.a}")
+        if self.q_exact is not None and float(self.q_exact) != q:
+            raise ValueError(f"q_exact = {self.q_exact} does not match q = {q}")
         q_crit = 2.0 + 4.0 / N
         if self.q_exact is not None:
             exact = Fraction(2) + Fraction(4, N)

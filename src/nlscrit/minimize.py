@@ -1,16 +1,31 @@
 """Local minimization of the energy on the mass sphere inside the kinetic
 ball ||grad u||^2 < rho0.
 
-Two phases.  First, projected descent: the gradient of the discrete energy
-in the weighted L^2 metric is projected onto the tangent space of the mass
-sphere, preconditioned by (I - Laplacian)^-1 (a tridiagonal solve on this
-grid), and the step is accepted under an Armijo decrease test after exact
-renormalization of the mass.  Plain unpreconditioned steps are useless
-here: the graded mesh makes the stiffness ratio of the Laplacian ~1e13.
-Second, once the residual is small (or the energy has stalled at rounding),
-a bordered-tridiagonal Newton solve on the stationary system (including the
-multiplier) polishes the state to residual ~1e-12, far below the reported
-tolerance.
+Two phases, one residual.  The residual of a state u is the weak form
+F = A u - W (N(u) + lambda u) of the stationary equation (stiffness A,
+quadrature weights W, lambda the multiplier of u on the mass sphere),
+measured in the H^-1 dual norm sqrt(F.(A + W)^-1 F): one tridiagonal solve
+on the stiffness bands.  Unlike the weighted l^2 norm sqrt(F.F/W), whose
+rounding floor grows like n^2 on these graded meshes, this norm has a
+rounding floor far below the tolerance at every grid size, so `converged`
+means the same thing at every n.
+
+First, projected descent: the weighted-L^2 gradient F/W, preconditioned by
+(A + alpha W)^-1 and projected onto the tangent space of the mass sphere,
+with an Armijo test after exact renormalization of the mass.  The shift
+follows the iterate, alpha = clip(-lambda, 1e-8, 1), so that the
+preconditioner is the linear part A - lambda W of the Hessian
+A - W (N'(u) + lambda) (X. Antoine, A. Levitt & Q. Tang, J. Comput. Phys.
+343, 2017) and the descent takes tens of iterations whatever lambda is; a
+fixed shift slows it by about the ratio of the shift to -lambda.  Plain
+unpreconditioned steps are useless here: the graded mesh makes the
+stiffness ratio of the Laplacian ~1e13.
+
+Second, once E < 0 and the residual is below NEWTON_SWITCH ||grad u||^2
+(or below the tolerance, or once E has gone flat to rounding), a
+bordered-tridiagonal Newton solve on the stationary system (including the
+multiplier) polishes the state to 0.01 tol, or to the rounding floor,
+where its residual stops falling.
 """
 
 from __future__ import annotations
@@ -27,12 +42,12 @@ from .grid import (Profile, RadialGrid, lq_norm_pow, mass, rescale,
                    scaled_tridiag_solve, tridiag_solve)
 
 MAX_ITER = 20000          # descent-phase cap
-NEWTON_SWITCH = 1e-3      # residual at which Newton takes over
+NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
 NEWTON_MAX = 80
 STEP0 = 0.5
 STEP_MAX = 4.0
 ARMIJO = 1e-4
-PRECOND_SHIFT = 1.0       # alpha in (alpha - Laplacian)^-1
+SHIFT_MIN = 1e-8          # the preconditioner's shift is clip(-lambda, SHIFT_MIN, 1)
 BALL_MARGIN = 0.9         # the initial profile is dilated below this * rho0
 
 
@@ -42,17 +57,21 @@ class SolveReport:
     energy: float
     pohozaev: float
     lam: float                        # Lagrange multiplier ("lambda" in JSON)
-    grad_residual: float
+    grad_residual: float              # H^-1 norm of the residual F
     iterations: int
     trace: list = field(repr=False)   # (iteration, E, P, grad2)
     boundary_hit: bool
     converged: bool
 
 
-def _norms(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray) -> fnl.FiberNorms:
-    """The norms of u in the solvers' kinetic form u.A.u, at mass a (so the
-    multiplier is the one of the mass sphere)."""
-    return fnl.FiberNorms(grid.stiffness_quad(u), lq_norm_pow(grid, u, params.ex.two_star),
+def _norms(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
+           grad2: float | None = None) -> fnl.FiberNorms:
+    """The norms of u in the solvers' kinetic form u.A.u (grad2, when the
+    caller has it), at mass a (so the multiplier is the one of the mass
+    sphere)."""
+    if grad2 is None:
+        grad2 = grid.stiffness_quad(u)
+    return fnl.FiberNorms(grad2, lq_norm_pow(grid, u, params.ex.two_star),
                           lq_norm_pow(grid, u, params.q), params.a)
 
 
@@ -67,13 +86,13 @@ def _nonlinear_prime(params: cst.ProblemParams, u: np.ndarray) -> np.ndarray:
     return (ts - 1.0) * au ** (ts - 2.0) + params.mu * (q - 1.0) * au ** (q - 2.0)
 
 
-def _projected_gradient(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
-                        lam: float):
-    """(g, ||g||_W): g = A u / W - N(u) - lam u, the energy gradient in the
-    weighted L^2 metric projected onto the tangent space of the mass sphere."""
-    W = grid.full_weights
-    g = grid.stiffness_apply(u) / W - _nonlinear(params, u) - lam * u
-    return g, math.sqrt(float(np.dot(W, g * g)))
+def _residual(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray, lam: float,
+              h1_diag: np.ndarray):
+    """(F, ||F||_H^-1): F = A u - W (N(u) + lam u), and its dual norm
+    sqrt(F.(A + W)^-1 F), with h1_diag the diagonal of A + W."""
+    F = grid.stiffness_apply(u) - grid.full_weights * (_nonlinear(params, u) + lam * u)
+    off = grid.stiffness_bands()[1]
+    return F, math.sqrt(float(np.dot(F, tridiag_solve(off, h1_diag, F))))
 
 
 def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
@@ -92,33 +111,39 @@ def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
 
 
 def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
-                   target: float):
-    """Newton on (stationary equation, mass constraint); returns (u, ok, res)."""
+                   target: float, floor: float):
+    """Newton on (stationary equation, mass constraint) from u, down to
+    residual `target` or until the residual stops falling (the rounding
+    floor).  Returns (u, ok, res) of the best iterate; ok unless its residual
+    is at or above `floor`."""
     W, a = grid.full_weights, params.a
     diag, off = grid.stiffness_bands()
-    sc = 1.0 / np.sqrt(diag + W)
-    u = u.copy()
+    h1_diag = diag + W
+    sc = 1.0 / np.sqrt(h1_diag)
+    best, best_res = u, math.inf
     for _ in range(NEWTON_MAX):
         lam = _norms(params, grid, u).lagrange_multiplier(params)
-        F = grid.stiffness_apply(u) - W * (_nonlinear(params, u) + lam * u)
-        res = math.sqrt(float(np.dot(F * F, 1.0 / W)))
+        F, res = _residual(params, grid, u, lam, h1_diag)
+        if not res < best_res:
+            break
+        best, best_res = u, res
         if res < target:
-            return u, True, res
+            break
         try:
             jac = diag - W * (_nonlinear_prime(params, u) + lam)
             X = scaled_tridiag_solve(off, jac, np.column_stack([-F, W * u]), sc)
         except np.linalg.LinAlgError:
-            return u, False, res
+            break
         x, y = X[:, 0], X[:, 1]
         denom = 2.0 * float(np.dot(W * u, y))
         if denom == 0.0 or not np.isfinite(denom):
-            return u, False, res
+            break
         dlam = (-(mass(grid, u) - a) - 2.0 * float(np.dot(W * u, x))) / denom
         du = x + dlam * y
         if not np.all(np.isfinite(du)):
-            return u, False, res
+            break
         u = u + du
-    return u, res < target, res
+    return best, best_res < floor, best_res
 
 
 def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
@@ -131,7 +156,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     multiplier.  The ball constraint is enforced by step rejection plus
     dilation retraction; it must be inactive at convergence, so an active
     constraint is reported via boundary_hit instead of being "solved".
-    Converged means residual < tol * max(1, |E|).
+    Converged means residual < tol * max(1, |E|) in the H^-1 norm.
     """
     if thresholds is None:
         thresholds = cst.thresholds(params)
@@ -147,7 +172,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
 
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
-    precond_diag = PRECOND_SHIFT * W + diag
+    h1_diag = diag + W
     nm = _norms(params, grid, u)
     E = nm.energy(params)
     step = STEP0
@@ -156,16 +181,19 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     res = math.inf
     it = flat = 0
     for it in range(MAX_ITER):
-        gproj, res = _projected_gradient(params, grid, u, nm.lagrange_multiplier(params))
+        lam = nm.lagrange_multiplier(params)
+        F, res = _residual(params, grid, u, lam, h1_diag)
         trace.append((it, E, nm.pohozaev(params), nm.grad2))
-        # the residual can plateau just above the switch while E is flat to
-        # rounding: 8 accepted steps in a row that each gain <= 4 eps |E|
-        # also hand over to Newton
-        if res < max(tol, NEWTON_SWITCH) * max(1.0, abs(E)) or flat == 8:
+        # where the minimum sits at E > 0 (a domain too small for it), E can
+        # go flat to rounding above the tolerance: 8 accepted steps in a row
+        # that each gain <= 4 eps |E| also hand over to Newton
+        if (res < tol * max(1.0, abs(E)) or (E < 0.0 and res < NEWTON_SWITCH * nm.grad2)
+                or flat == 8):
             break
-        d = tridiag_solve(off, precond_diag, W * gproj)
+        shift = min(max(-lam, SHIFT_MIN), 1.0)
+        d = tridiag_solve(off, diag + shift * W, F)
         d -= (float(np.dot(W, u * d)) / a) * u
-        dd = float(np.dot(W, gproj * d))
+        dd = float(np.dot(F, d))
         if dd <= 0.0:
             break
         accepted = False
@@ -173,11 +201,12 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         for _ in range(60):
             v = u - step * d
             v *= math.sqrt(a / mass(grid, v))
-            if grid.stiffness_quad(v) >= rho0:
+            g2 = grid.stiffness_quad(v)
+            if g2 >= rho0:
                 rejected_boundary += 1
                 step *= 0.5
                 continue
-            nv = _norms(params, grid, v)
+            nv = _norms(params, grid, v, g2)
             Ev = nv.energy(params)
             if Ev <= E - ARMIJO * step * dd:
                 accepted = True
@@ -192,13 +221,15 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         step = min(step * 1.5, STEP_MAX)
 
     if not boundary_hit:
-        u_new, ok, _ = _newton_polish(params, grid, u, 0.01 * (tol * max(1.0, abs(E))))
-        u_new *= math.sqrt(a / mass(grid, u_new))   # Newton meets the mass to ~1e-10
-        if ok and grid.stiffness_quad(u_new) < rho0:
-            # recompute the projected residual actually reported
-            nn = _norms(params, grid, u_new)
-            lam = nn.lagrange_multiplier(params)
-            _, res_new = _projected_gradient(params, grid, u_new, lam)
+        scale = tol * max(1.0, abs(E))
+        u_new, ok, _ = _newton_polish(params, grid, u, 0.01 * scale, scale)
+        u_new = u_new * math.sqrt(a / mass(grid, u_new))   # Newton meets the mass to ~1e-10
+        g2 = grid.stiffness_quad(u_new)
+        if ok and g2 < rho0:
+            # recompute the residual actually reported
+            nn = _norms(params, grid, u_new, g2)
+            _, res_new = _residual(params, grid, u_new, nn.lagrange_multiplier(params),
+                                   h1_diag)
             if res_new < res:
                 u, res, E, nm = u_new, res_new, nn.energy(params), nn
 

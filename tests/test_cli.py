@@ -166,6 +166,20 @@ def test_evolve_command_json_and_csv(tmp_path, capsys):
     assert len(lines) > 2
 
 
+def test_plain_evolve_resolves_no_mass(tmp_path, capsys):
+    # a plain run starts from the file's own mass, so the default --a auto-a0
+    # must not cost a ground-state solve for C_Nq
+    prof = tmp_path / "init.json"
+    run_cli(["profile", "--kind", "gaussian", "--dim", "3", "--q", "2.5",
+             "--mu", "1", "--a", "1.0", "--origin-blend", "0.5",
+             "--out", str(prof)] + FAST, capsys)
+    cli.cst._gn_constant_cached.cache_clear()
+    code, out = run_cli(["evolve", "--init", str(prof), "--dim", "3", "--q", "2.5",
+                         "--dt", "2e-3", "--t-end", "0.01"], capsys)
+    assert code == 0 and json.loads(out)["probe"] == "none"
+    assert cli.cst._gn_constant_cached.cache_info().misses == 0
+
+
 def test_sweep_regime_flips_once_per_row(capsys):
     code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5",
                          "--mu-range", "0.8:1.2:3",
@@ -310,6 +324,13 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["fiber", "--profile", "frac.json", "--a", "1.0"],
     ["evolve", "--init", "neg.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
      "--dt", "1e-3", "--t-end", "0.002"],
+    ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
+     "--dt", "1", "--t-end", "inf"],
+    ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
+     "--dt", "nan"],
+    ["minimize", "--a", "1.0", "--r-max", "inf"],
+    ["minimize", "--a", "1.0", "--r-max", "nan"],
+    ["minimize", "--a", "1.0", "--grading", "nan"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
@@ -324,6 +345,7 @@ def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     (tmp_path / "dup.csv").write_text("r,value\n0.5,1.0\n0.5,0.9\n")
     (tmp_path / "nan-radius.csv").write_text("r,value\nnan,1.0\n1.0,0.5\n")
     (tmp_path / "neg.csv").write_text("r,value\n-1.0,5.0\n0.5,1.0\n1.0,0.5\n2.0,0.1\n")
+    (tmp_path / "ok.csv").write_text("r,value\n0.5,1.0\n1.0,0.5\n2.0,0.1\n")
     (tmp_path / "frac.json").write_text(json.dumps(
         {"dim": 3.5, "r_max": 30, "n": 16.9, "values": [0.1] * 16}) + "\n")
     code = cli.main(args)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ def test_params_rejects_bad_q():
     for mu, a in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
         with pytest.raises(ValueError):
             nc.ProblemParams(3, 2.5, mu, a)
+
+
+def test_params_rejects_mismatched_q_exact():
+    # 10/3 is the critical exponent at N = 3, q = 3 is not: the pair is one q
+    with pytest.raises(ValueError, match="does not match"):
+        nc.ProblemParams(3, 3.0, 1.0, 1.0, Fraction(10, 3))
+    qv, qe = parse_q("10/3")
+    assert nc.ProblemParams(3, qv, 1.0, 1.0, qe).q_exact == Fraction(10, 3)
 
 
 @pytest.mark.parametrize("dim", [3, 4])

@@ -119,17 +119,51 @@ def test_subadditivity_rejects_bad_split(params_half, soliton_grid):
         mn.subadditivity_check(params_half, soliton_grid, params_half.a)
 
 
-def test_descent_hands_a_flat_energy_to_newton():
-    # the projected residual plateaus just above the Newton switch while E is
-    # flat to rounding; this point used to run the 20000-iteration cap
-    base = nc.ProblemParams(4, 2.5, 0.46875, 1.0)
-    S, C = nc.sobolev_constant(4), nc.gn_constant(base)
-    params = base.with_mass(0.44921875 * nc.critical_mass_a0(base, S, C))
-    rep = mn.minimize_local(params, nc.make_grid(4, 50.0, 8192),
-                            thresholds=nc.thresholds(params, S, C))
-    assert rep.converged
-    assert rep.iterations < 500
+def _point(dim, q, mu=1.0, rel=0.5):
+    """(params, thresholds) at mass rel * a0."""
+    base = nc.ProblemParams(dim, q, mu, 1.0)
+    S, C = nc.sobolev_constant(dim), nc.gn_constant(base)
+    params = base.with_mass(rel * nc.critical_mass_a0(base, S, C))
+    return params, nc.thresholds(params, S, C)
 
+
+def test_descent_hands_a_flat_energy_to_newton():
+    # the projected residual plateaued just above the Newton switch while E was
+    # flat to rounding; this point used to run the 20000-iteration cap, and
+    # 352 iterations with the preconditioner's fixed shift 1 (-lambda = 0.036)
+    params, thr = _point(4, 2.5, 0.46875, 0.44921875)
+    rep = mn.minimize_local(params, nc.make_grid(4, 50.0, 8192), thresholds=thr)
+    assert rep.converged
+    assert rep.iterations < 60
+
+
+def test_descent_converges_where_lambda_is_small():
+    # -lambda = 3e-4: the fixed shift took 16286 iterations (13 s) here
+    params, thr = _point(3, 3.2)
+    rep = mn.minimize_local(params, nc.make_grid(3, 800.0, 8192), thresholds=thr)
+    assert rep.converged and not rep.boundary_hit
+    assert rep.iterations < 200
+
+
+@pytest.mark.parametrize("dim, q", [(3, 2.5), (5, 2.4)])
+@pytest.mark.parametrize("n", [8192, 16384, 32768])
+def test_converged_at_every_grid_size(dim, q, n):
+    # the l^2 residual sqrt(F.F/W) has a rounding floor that grows like n^2
+    # and stopped the polish above its target at n >= 16384; the H^-1 one
+    # does not
+    params, thr = _point(dim, q)
+    rep = mn.minimize_local(params, nc.make_grid(dim, 50.0, n), thresholds=thr)
+    assert rep.converged and not rep.boundary_hit
+
+
+@pytest.mark.parametrize("dim, q", [(3, 2.5), (5, 2.4)])
+def test_minimum_converges_at_order_two(dim, q):
+    params, thr = _point(dim, q)
+    m = [mn.minimize_local(params, nc.make_grid(dim, 50.0, n), thresholds=thr).energy
+         for n in (2048, 4096, 8192, 16384)]
+    for k in range(2):
+        order = math.log2((m[k + 1] - m[k]) / (m[k + 2] - m[k + 1]))
+        assert order == pytest.approx(2.0, abs=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +175,8 @@ def grid6():
 def test_newton_converges_on_the_w0_core(rel, grid6):
     # unscaled, gtsv's pivoting lost the core rows of the bordered Newton
     # system at N = 6 (entries ~1e-22), and these runs stalled at residual 0.06-0.28
-    base = nc.ProblemParams(6, 2.2, 1.0, 1.0)
-    S, C = nc.sobolev_constant(6), nc.gn_constant(base)
-    params = base.with_mass(rel * nc.critical_mass_a0(base, S, C))
-    rep = mn.minimize_local(params, grid6, thresholds=nc.thresholds(params, S, C))
+    params, thr = _point(6, 2.2, rel=rel)
+    rep = mn.minimize_local(params, grid6, thresholds=thr)
     assert rep.converged and not rep.boundary_hit
     assert rep.grad_residual < 1e-8 * abs(rep.energy)
     assert rep.energy < 0.0 and rep.lam < 0.0
