@@ -288,6 +288,7 @@ def _cmd_evolve(args: argparse.Namespace):
            "grad_norm": summary.grad_norm}
     if summary.h1_distance is not None:
         doc["h1_distance"] = summary.h1_distance
+    doc["diagnostics"] = {"steps": summary.steps, "refused_steps": summary.refused_steps}
     return doc
 
 
@@ -461,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_finite("--dt"), default=2e-3)
     p.add_argument("--t-end", type=_finite("--t-end"), default=1.0)
     p.add_argument("--probe", choices=("none", "stability", "blowup"), default="none")
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--amp", type=float, default=1.05)
+    p.add_argument("--eps", type=_finite("--eps"), default=1e-2)
+    p.add_argument("--amp", type=_finite("--amp"), default=1.05)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_evolve)
 
@@ -488,7 +489,7 @@ def main(argv=None) -> int:
         result = args.func(args)
         _write(result if isinstance(result, str) else _document(result), args.out)
         return 0
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         error = _document({"schema_version": SCHEMA_VERSION,
                            "error_kind": getattr(exc, "kind", type(exc).__name__),
                            "message": str(exc), "context": {"command": args.command}})

@@ -5,20 +5,24 @@
 for radial complex data on the truncated domain (Dirichlet at r_max).
 
 The scheme is the relaxation form of the time-symmetric Crank-Nicolson
-method: the nonlinear potential is carried as a staggered auxiliary
-variable
+method (C. Besse, SIAM J. Numer. Anal. 42 (2004) 934-952): the nonlinear
+potential is carried as a staggered auxiliary variable
 
     ups^(n+1/2) = 2 V(|psi^n|^2) - ups^(n-1/2),
     V(rho) = rho^(ts/2-1) + mu rho^(q/2-1),
 
-and each step solves one linear Cayley system
-(I + i dt/2 (L - ups)) psi^(n+1) = (I - i dt/2 (L - ups)) psi^n.
-The Cayley step conserves the discrete mass exactly (L is self-adjoint in
-the weighted inner product and ups is real); the discrete energy is
-conserved up to O(dt^2), so halving dt improves the energy drift about
-fourfold.  An iterated fixed-point treatment of the nonlinearity was tried
-first and abandoned: its inner iteration develops a slowly traveling
-divergent mode on these graded meshes.
+and each step solves one linear Cayley system M+ psi^(n+1) = M- psi^n,
+M+- = W +- i dt/2 (A - W ups), with A the stiffness and W the quadrature
+weights of the grid.  Since M- = 2W - M+, the step is computed as
+
+    psi^(n+1) = 2 (M+)^(-1) W psi^n - psi^n,
+
+one tridiagonal solve whose right-hand side needs no A psi.  The Cayley step
+conserves the discrete mass exactly (A is symmetric and ups is real); the
+discrete energy is conserved up to O(dt^2), so halving dt improves the
+energy drift about fourfold.  An iterated fixed-point treatment of the
+nonlinearity was tried first and abandoned: its inner iteration develops a
+slowly traveling divergent mode on these graded meshes.
 
 Blow-up is never "detected" in a rigorous sense: the integrator reports an
 indicator when the kinetic norm exceeds a large multiple of its initial
@@ -35,13 +39,16 @@ import numpy as np
 
 from . import constants as cst
 from . import functionals as fnl
-from .grid import Profile, RadialGrid, lq_norm_pow, mass, rescale, tridiag_solve
+from .grid import (Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass, rescale,
+                   tridiag_solve)
 
 RESOLUTION_CAP = 0.5      # largest accepted dt * max|potential|
 GROWTH_TRIGGER = 1.05     # kinetic-norm growth in one step that halves dt
 DT_MIN = 1e-8             # a step size below this raises the blow-up indicator
 BLOWUP_FACTOR = 1e3       # so does kinetic-norm growth beyond this factor
 STABILITY_STRIDE = 20     # steps between the samples of stability_probe
+# why a step attempt is refused; counted per trajectory
+REFUSAL_REASONS = ("resolution_cap", "growth", "nonfinite", "singular")
 
 
 @dataclass
@@ -56,6 +63,26 @@ class TrajectorySummary:
     blowup_time: float | None
     steps: int
     dt_final: float
+    refused_steps: dict[str, int]    # refused step attempts by REFUSAL_REASONS
+
+
+def _power(rho: np.ndarray, e: float) -> np.ndarray:
+    """rho ** e, by products and square roots where e allows; pow is the
+    costliest part of a step otherwise."""
+    if e == 2.0:
+        return rho * rho
+    if e == 1.0:
+        return rho
+    if e == 0.5:
+        return np.sqrt(rho)
+    if e == 0.25:
+        return np.sqrt(np.sqrt(rho))
+    return rho ** e
+
+
+def _density(psi: np.ndarray) -> np.ndarray:
+    """|psi|^2, without abs's hypot."""
+    return (psi * psi.conj()).real
 
 
 class _RelaxationStepper:
@@ -63,46 +90,63 @@ class _RelaxationStepper:
         self.params = params
         self.grid = grid
         self.linear = linear
+        self.refused = dict.fromkeys(REFUSAL_REASONS, 0)
+        self._dt, self._bands = None, None   # bands of M+ for step size _dt
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
         if self.linear:
             return np.zeros_like(rho)
-        ts, q, mu = self.params.ex.two_star, self.params.q, self.params.mu
+        ex, mu = self.params.ex, self.params.mu
         with np.errstate(under="ignore"):
-            return rho ** (ts / 2.0 - 1.0) + mu * rho ** (q / 2.0 - 1.0)
+            return (_power(rho, ex.two_star / 2.0 - 1.0)
+                    + mu * _power(rho, self.params.q / 2.0 - 1.0))
+
+    def _refuse(self, reason: str) -> None:
+        """Count a refused step; returns None, step's refusal."""
+        self.refused[reason] += 1
+        return None
 
     def step(self, psi: np.ndarray, ups: np.ndarray, dt: float):
-        """One relaxation CN step; returns (psi_new, ups_new) or None.
+        """One relaxation CN step; returns (psi_new, ups_new), or None and
+        counts the reason in `refused`.
 
         A step is refused when dt * max|potential| exceeds RESOLUTION_CAP:
         the Cayley solve would stay stable but simply scramble phases,
         silently freezing a focusing solution instead of following it."""
-        ups_new = 2.0 * self.potential(np.abs(psi) ** 2) - ups
-        if not np.all(np.isfinite(ups_new)):
-            return None
-        if not self.linear and dt * float(np.max(np.abs(ups_new))) > RESOLUTION_CAP:
-            return None
-        idt2 = 0.5j * dt
-        g = self.grid
-        W = g.full_weights
-        diag, off = g.stiffness_bands()
-        rhs = W * psi - idt2 * (g.stiffness_apply(psi) - W * ups_new * psi)
+        ups_new = 2.0 * self.potential(_density(psi)) - ups
+        top = float(np.max(np.abs(ups_new)))   # NaN or inf if any entry is
+        if not math.isfinite(top):
+            return self._refuse("nonfinite")
+        if not self.linear and dt * top > RESOLUTION_CAP:
+            return self._refuse("resolution_cap")
+        W = self.grid.full_weights
+        if dt != self._dt:
+            # M+ = W + i dt/2 (A - W ups) but for its ups term, once per step size
+            diag, off = self.grid.stiffness_bands()
+            idt2 = 0.5j * dt
+            self._dt, self._bands = dt, (idt2 * off, W + idt2 * diag, idt2 * W)
+        off_b, diag_b, iw = self._bands
         try:
-            new = tridiag_solve(idt2 * off, W + idt2 * (diag - W * ups_new), rhs)
+            x = tridiag_solve(off_b, diag_b - iw * ups_new, W * psi)
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(new)):
-            return None
+            return self._refuse("singular")
+        new = 2.0 * x - psi
+        if not np.isfinite(new).all():
+            return self._refuse("nonfinite")
         return new, ups_new
 
 
-def h1_distance(grid: RadialGrid, psi: np.ndarray, ref: np.ndarray) -> float:
+def h1_distance(grid: RadialGrid, psi: np.ndarray, ref: np.ndarray,
+                ref_norm_sq: float | None = None) -> float:
     """min over theta of ||psi - e^(i theta) ref||_H1 (phase modulation only;
-    radial symmetry pins translations)."""
-    inner = np.vdot(ref, grid.stiffness_apply(psi)) + np.vdot(ref * grid.full_weights, psi)
-    n_psi = grid.stiffness_quad(psi) + mass(grid, psi)
-    n_ref = grid.stiffness_quad(ref) + mass(grid, ref)
-    d2 = n_psi + n_ref - 2.0 * abs(inner)
+    radial symmetry pins translations).  ref_norm_sq, ||ref||_H1^2 as
+    stiffness_quad(ref) + mass(ref), spares recomputing it per sample."""
+    a_psi = grid.stiffness_apply(psi)
+    inner = np.vdot(ref, a_psi) + np.vdot(ref * grid.full_weights, psi)
+    n_psi = float(np.real(np.vdot(psi, a_psi))) + mass(grid, psi)
+    if ref_norm_sq is None:
+        ref_norm_sq = grid.stiffness_quad(ref) + mass(grid, ref)
+    d2 = n_psi + ref_norm_sq - 2.0 * abs(inner)
     return math.sqrt(max(d2, 0.0))
 
 
@@ -122,28 +166,31 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         raise ValueError("dt and t_end must be positive")
     stepper = _RelaxationStepper(params, grid, linear)
     psi = psi0.values.astype(complex)
-    ups = stepper.potential(np.abs(psi) ** 2)
+    ups = stepper.potential(_density(psi))
     probe_idx = int(np.argmax(np.abs(psi))) if np.any(psi != 0.0) else 0
     ref = None if reference is None else reference.values.astype(complex)
+    ref_norm_sq = None if ref is None else grid.stiffness_quad(ref) + mass(grid, ref)
     times, masses, energies, grads, probes = [], [], [], [], []
     dists = None if ref is None else []
 
-    def record(t: float, psi: np.ndarray, uau: float) -> None:
-        """Sample psi, given its u.A.u; the linear flow has no potential terms."""
+    def record(t: float, psi: np.ndarray, grad2: float) -> None:
+        """Sample psi, given its grad_l2_sq; the linear flow has no potential terms."""
         m = mass(grid, psi)
         pots = (0.0, 0.0) if linear else (lq_norm_pow(grid, psi, params.ex.two_star),
                                           lq_norm_pow(grid, psi, params.q))
         times.append(t)
         masses.append(m)
-        energies.append(fnl.FiberNorms(uau, *pots, m).energy(params))
-        grads.append(math.sqrt(max(uau, 0.0)))
+        energies.append(fnl.FiberNorms(grad2, *pots, m).energy(params))
+        grads.append(math.sqrt(max(grad2, 0.0)))
         probes.append(psi[probe_idx])
         if dists is not None:
-            dists.append(h1_distance(grid, psi, ref))
+            dists.append(h1_distance(grid, psi, ref, ref_norm_sq))
 
-    uau = grid.stiffness_quad(psi)
-    g0 = math.sqrt(max(uau, 1e-300))
-    record(0.0, psi, uau)
+    # grad_l2_sq, not u.A.u: its per-interval sum is cheaper and has no
+    # cancellation between the diagonal and off-diagonal terms of A
+    grad2 = grad_l2_sq(grid, psi)
+    g0 = math.sqrt(max(grad2, 1e-300))
+    record(0.0, psi, grad2)
 
     t = 0.0
     cur_dt = dt
@@ -162,15 +209,16 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         h = min(cur_dt, t_end - t)
         out = stepper.step(psi, ups, h)
         if out is not None:
-            uau = grid.stiffness_quad(out[0])
-            gnorm = math.sqrt(max(uau, 0.0))
+            grad2 = grad_l2_sq(grid, out[0])
+            gnorm = math.sqrt(max(grad2, 0.0))
             grew = gnorm > GROWTH_TRIGGER * gnorm_prev and gnorm > GROWTH_TRIGGER * g0
             if grew and cur_dt > 2.0 * DT_MIN:
+                stepper.refused["growth"] += 1
                 out = None      # under-resolved focusing: retry smaller
         if out is None:
             cur_dt *= 0.5
             ok_streak = 0
-            ups = stepper.potential(np.abs(psi) ** 2)   # restart the recursion
+            ups = stepper.potential(_density(psi))   # restart the recursion
             if cur_dt < DT_MIN:
                 blowup = True
                 blowup_time = t
@@ -183,7 +231,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
             ok_streak += 1
             if ok_streak >= 8:      # recover the step size after a rough patch
                 cur_dt = min(2.0 * cur_dt, dt)
-                ups = stepper.potential(np.abs(psi) ** 2)
+                ups = stepper.potential(_density(psi))
                 ok_streak = 0
         gnorm_prev = gnorm
         sample = (steps % stride == 0) or t >= t_end - 1e-12
@@ -192,7 +240,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
             blowup_time = t
             sample = True
         if sample:
-            record(t, psi, uau)
+            record(t, psi, grad2)
         if blowup:
             break
     return TrajectorySummary(
@@ -201,7 +249,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         h1_distance=None if dists is None else np.asarray(dists),
         probe_values=np.asarray(probes),
         blowup_flag=blowup, blowup_time=blowup_time,
-        steps=steps, dt_final=cur_dt)
+        steps=steps, dt_final=cur_dt, refused_steps=dict(stepper.refused))
 
 
 @dataclass
@@ -218,7 +266,11 @@ def stability_probe(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
     modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u, mass
     renormalized; eps may be negative."""
     vals = (1.0 + eps * np.exp(-grid.nodes ** 2)) * u.values
-    vals = vals * math.sqrt(params.a / mass(grid, vals))
+    with np.errstate(over="ignore"):
+        m = mass(grid, vals)
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"the profile perturbed by eps = {eps!r} has mass {m!r}")
+    vals = vals * math.sqrt(params.a / m)
     psi0 = Profile(grid, vals.astype(complex))
     summary = evolve(params, grid, psi0, dt, t_end, reference=u, stride=STABILITY_STRIDE)
     d0 = summary.h1_distance[0]

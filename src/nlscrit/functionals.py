@@ -139,7 +139,8 @@ def brentq(f, a: float, b: float) -> float:
 def psi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndarray:
     ex = params.ex
     tau = np.asarray(tau, dtype=float)
-    with np.errstate(under="ignore"):
+    # extreme (mu, norms) overflow at large tau: those values are -inf
+    with np.errstate(under="ignore", over="ignore"):
         out = (0.5 * tau**2 * nm.grad2
                - tau**ex.two_star * nm.crit / ex.two_star
                - params.mu / params.q * tau**ex.q_gamma_q * nm.sub)
@@ -149,7 +150,7 @@ def psi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndar
 def phi_value(params: cst.ProblemParams, nm: FiberNorms, tau) -> float | np.ndarray:
     ex = params.ex
     tau = np.asarray(tau, dtype=float)
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):   # as in psi_value
         out = (tau**2 * nm.grad2 - tau**ex.two_star * nm.crit
                - params.mu * ex.gamma_q * tau**ex.q_gamma_q * nm.sub)
     return float(out) if out.ndim == 0 else out

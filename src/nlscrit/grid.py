@@ -18,6 +18,7 @@ oscillations are invisible to them.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from math import comb, gamma, isfinite, pi
@@ -134,15 +135,27 @@ class RadialGrid:
         return float(np.real(np.vdot(u, self.stiffness_apply(u))))
 
 
+@functools.lru_cache(maxsize=None)
+def _gtsv(*dtypes: np.dtype):
+    """LAPACK gtsv of the precision scipy picks for arrays of these dtypes."""
+    return get_lapack_funcs(("gtsv",), tuple(np.empty(0, t) for t in dtypes))[0]
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    # a sum is finite unless an entry is inf or NaN, or the sum overflows:
+    # only then does the slower entrywise scan run
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(np.isfinite(a.sum()) or np.isfinite(a).all() for a in arrays)
+
+
 def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve T x = rhs for the symmetric tridiagonal T with diagonal `diag`
     and both off-diagonals `off`, by LAPACK gtsv; rhs may hold several
     columns.  Same routine and contract as scipy's (1, 1)-banded solver:
     ValueError on non-finite input, LinAlgError when T is singular."""
-    if not (np.isfinite(off).all() and np.isfinite(diag).all() and np.isfinite(rhs).all()):
+    if not _all_finite(off, diag, rhs):
         raise ValueError("tridiagonal system must not contain infs or NaNs")
-    gtsv, = get_lapack_funcs(("gtsv",), (off, diag, rhs))
-    *_, x, info = gtsv(off, diag, off, rhs)
+    *_, x, info = _gtsv(off.dtype, diag.dtype, rhs.dtype)(off, diag, off, rhs)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -195,7 +208,8 @@ def make_grid(dim: int, r_max: float, n: int, grading: float = 0.0,
         raise ValueError("origin_blend must lie in [0, 1]")
     m = n // 2
     edges = _graded_edges(r_max, m, grading, origin_blend)
-    x1, x2, w1, w2 = _cell_gauss(dim, edges[:-1], edges[1:])
+    with np.errstate(all="ignore"):   # a degenerate rule fails the check below
+        x1, x2, w1, w2 = _cell_gauss(dim, edges[:-1], edges[1:])
     nodes = np.empty(2 * m)
     weights = np.empty(2 * m)
     nodes[0::2] = x1

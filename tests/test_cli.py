@@ -159,6 +159,8 @@ def test_evolve_command_json_and_csv(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["probe"] == "none" and not doc["blowup_flag"]
     assert len(doc["times"]) == len(doc["mass"]) == len(doc["energy"])
+    assert doc["diagnostics"] == {"steps": 25, "refused_steps": {
+        "resolution_cap": 0, "growth": 0, "nonfinite": 0, "singular": 0}}
     code, out_csv = run_cli(args + ["--csv"], capsys)
     assert code == 0
     lines = out_csv.strip().splitlines()
@@ -331,6 +333,14 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["minimize", "--a", "1.0", "--r-max", "inf"],
     ["minimize", "--a", "1.0", "--r-max", "nan"],
     ["minimize", "--a", "1.0", "--grading", "nan"],
+    ["constants", "--q", "1e400"],
+    ["constants", "--q", "2.5", "--mu", "1e-300"],
+    ["constants", "--q", "auto", "--mass-multiple", "1e300"],
+    ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "1e-300"],
+    ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
+     "--probe", "blowup", "--amp", "inf"],
+    ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
+     "--probe", "stability", "--eps", "1e300", "--dt", "1e-3", "--t-end", "0.002"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):

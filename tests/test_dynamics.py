@@ -5,7 +5,7 @@ import pytest
 
 import nlscrit as nc
 from nlscrit import dynamics as dyn
-from nlscrit.dynamics import _RelaxationStepper, h1_distance
+from nlscrit.dynamics import REFUSAL_REASONS, _RelaxationStepper, h1_distance
 
 
 def test_zero_data_stays_zero(params_half, dyn_grid):
@@ -127,3 +127,55 @@ def test_evolve_argument_validation(params_half, dyn_grid):
         dyn.evolve(params_half, dyn_grid, psi0, dt=1e-3, t_end=0.0)
     with pytest.raises(ValueError):
         dyn.blowup_probe(params_half, dyn_grid, psi0, -1.0, 1.0)
+
+
+def dense_cayley_step(params, grid, psi, ups, dt):
+    """psi+ from M+ psi+ = M- psi by a dense solve, M+- = W +- i dt/2 (A - W ups+),
+    with A = D^T diag(k) D assembled from the interval stiffness k (D the
+    node-to-node differences, 0 at the Dirichlet ghost node)."""
+    n, W = grid.n, grid.full_weights
+    D = np.eye(n, k=1) - np.eye(n)
+    A = D.T @ (grid.interval_stiffness[:, None] * D)
+    ts, q, mu = 2.0 * grid.dim / (grid.dim - 2.0), params.q, params.mu
+    rho = np.abs(psi) ** 2
+    ups_new = 2.0 * (rho ** (ts / 2.0 - 1.0) + mu * rho ** (q / 2.0 - 1.0)) - ups
+    K = 0.5j * dt * (A - np.diag(W * ups_new))
+    return np.linalg.solve(np.diag(W) + K, (np.diag(W) - K) @ psi), ups_new
+
+
+def test_step_matches_dense_cayley_solve(params_half):
+    g = nc.make_grid(3, 10.0, 64, origin_blend=0.5)
+    psi = 0.5 * np.exp(-g.nodes**2 / 2.0 + 0.4j * g.nodes)
+    st = _RelaxationStepper(params_half, g, False)
+    ups = 0.9 * st.potential(np.abs(psi) ** 2)
+    for dt in (1e-3, 2e-2):
+        new, ups_new = st.step(psi, ups, dt)
+        want, want_ups = dense_cayley_step(params_half, g, psi, ups, dt)
+        np.testing.assert_allclose(ups_new, want_ups, rtol=1e-14, atol=0)
+        assert np.max(np.abs(new - want)) <= 1e-12 * np.max(np.abs(want))
+    assert st.refused == dict.fromkeys(REFUSAL_REASONS, 0)
+
+
+@pytest.mark.parametrize("dim,q", [(3, 2.5), (4, 2.5), (5, 2.4), (6, 2.2)])
+def test_potential_fast_paths_match_pow(dim, q):
+    params = nc.ProblemParams(dim, q, 1.3, 1.0)
+    st = _RelaxationStepper(params, nc.make_grid(dim, 10.0, 64), False)
+    rho = np.concatenate([[0.0], np.logspace(-30, 4, 341)])
+    ts = 2.0 * dim / (dim - 2.0)
+    want = rho ** (ts / 2.0 - 1.0) + 1.3 * rho ** (q / 2.0 - 1.0)
+    np.testing.assert_allclose(st.potential(rho), want, rtol=1e-15, atol=0)
+
+
+def test_resolution_cap_refusals_are_counted(params_half, dyn_grid):
+    psi = 0.5 * np.exp(-dyn_grid.nodes**2).astype(complex)
+    st = _RelaxationStepper(params_half, dyn_grid, False)
+    ups = st.potential(np.abs(psi) ** 2)
+    cap_dt = dyn.RESOLUTION_CAP / np.max(np.abs(ups))   # ups+ = ups here
+    assert st.step(psi, ups, 2.0 * cap_dt) is None
+    assert st.step(psi, ups, 0.5 * cap_dt) is not None
+    assert st.refused == {**dict.fromkeys(REFUSAL_REASONS, 0), "resolution_cap": 1}
+    # evolve halves its step (6, 3, 1.5 caps) until it fits, and says how often
+    s = dyn.evolve(params_half, dyn_grid, nc.Profile(dyn_grid, psi),
+                   dt=6.0 * cap_dt, t_end=6.0 * cap_dt, stride=1)
+    assert s.refused_steps["resolution_cap"] == 3
+    assert s.steps == 8 and not s.blowup_flag

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import solve_banded
 
 import nlscrit as nc
 from nlscrit.grid import (pchip, lq_norm_pow, profile_from_dict, profile_to_dict,
@@ -169,6 +170,30 @@ def test_tridiag_solve_rejects_nonfinite_and_singular():
             tridiag_solve(*args)
     with pytest.raises(np.linalg.LinAlgError):
         tridiag_solve(np.zeros(n - 1), np.zeros(n), rhs)
+
+
+def test_tridiag_solve_nonfinite_wins_and_returns_gtsv_x():
+    n = 16
+    # gtsv would meet the zero pivot in row 1 before the NaN in row 4
+    diag = np.zeros(n)
+    diag[3] = np.nan
+    with pytest.raises(ValueError):
+        tridiag_solve(np.zeros(n - 1), diag, np.ones(n))
+    # an inf on the diagonal leaves gtsv's x finite (x[3] = 0)
+    diag = np.full(n, 4.0)
+    diag[3] = np.inf
+    with pytest.raises(ValueError):
+        tridiag_solve(np.ones(n - 1), diag, np.ones(n))
+    # finite entries whose sum overflows are solved, without a warning
+    x = tridiag_solve(np.full(n - 1, 1e307), np.full(n, 1e308), np.full(n, 1e308))
+    assert np.all(np.isfinite(x))
+    # a finite, non-singular system returns gtsv's x bit for bit
+    rng = np.random.default_rng(7)
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    diag = 4.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rhs = rng.standard_normal((n, 2)) + 0j
+    ab = np.vstack([np.concatenate([[0.0], off]), diag, np.concatenate([off, [0.0]])])
+    assert np.array_equal(tridiag_solve(off, diag, rhs), solve_banded((1, 1), ab, rhs))
 
 
 def test_rescale_identity_and_errors():
