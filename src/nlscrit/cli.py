@@ -46,6 +46,7 @@ class DomainError(RuntimeError):
 # default sequence items of `cpo`; --steps k keeps the first k
 CPO_N_VALUES = (5.0, 10.0, 20.0, 40.0)   # case 1: cutoff radii
 CPO_A_VALUES = (0.1, 0.01, 0.001)        # case 2: offsets A_n
+TRACE_ROWS = 256   # rows of a downsampled minimize or mountain-pass trace
 
 
 def _jsonable(obj):
@@ -123,11 +124,8 @@ def _make_grid(args: argparse.Namespace) -> gridmod.RadialGrid:
                              args.origin_blend)
 
 
-def _downsample(seq, cap: int = 256):
-    seq = list(seq)
-    if len(seq) <= cap:
-        return seq
-    idx = np.linspace(0, len(seq) - 1, cap).astype(int)
+def _downsample(seq: list) -> list:
+    idx = np.linspace(0, len(seq) - 1, min(len(seq), TRACE_ROWS)).astype(int)
     return [seq[i] for i in idx]
 
 
@@ -176,13 +174,16 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
     # place the loaded profile on the mass sphere before analysis
     u = gridmod.Profile(g, u.values * math.sqrt(params.a / gridmod.mass(g, u)))
     rep = fnl.fiber_critical_points(params, g, u)
+    nm = fnl.fiber_norms(params, g, u)
+    taus = np.logspace(-6.0, 6.0, fnl.FIBER_SAMPLES)
     return {
         "schema_version": SCHEMA_VERSION,
         "tau_plus": rep.tau_plus, "tau_minus": rep.tau_minus,
         "e_at_tau_plus": rep.e_at_tau_plus, "e_at_tau_minus": rep.e_at_tau_minus,
         "psi_second_at_tau_minus": rep.psi_second_at_tau_minus,
         "strictly_decreasing": rep.strictly_decreasing,
-        "samples": _downsample(rep.samples, 512),
+        "samples": np.column_stack([taus, fnl.psi_value(params, nm, taus),
+                                    fnl.phi_value(params, nm, taus)]),
     }
 
 
@@ -370,18 +371,19 @@ def _add_grid(p: argparse.ArgumentParser, r_max: float = 50.0) -> None:
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite("--tol", positive=True), default=1e-8)
 
 
-def _finite(flag: str):
-    """argparse type of a float flag that must be finite.  A non-finite value
-    is a domain error of the value, like the range checks of the commands:
-    it raises DomainError, which argparse passes on to `main`'s error
-    document, instead of a usage message on stderr."""
+def _finite(flag: str, positive: bool = False):
+    """argparse type of a float flag that must be finite (and > 0 if
+    `positive`).  A bad value is a domain error of the value, like the range
+    checks of the commands: it raises DomainError, which argparse passes on
+    to `main`'s error document, instead of a usage message on stderr."""
     def parse(text: str) -> float:
         value = float(text)
-        if not math.isfinite(value):
-            raise DomainError("usage", f"{flag} must be finite, got {text}")
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            rule = "positive and finite" if positive else "finite"
+            raise DomainError("usage", f"{flag} must be {rule}, got {text}")
         return value
     parse.__name__ = "float"   # argparse's name for it when text is no number
     return parse

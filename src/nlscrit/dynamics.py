@@ -263,16 +263,17 @@ class StabilityReport:
 def stability_probe(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                     eps: float, t_end: float, dt: float = 2e-3) -> StabilityReport:
     """Evolve a bump-perturbed standing-wave profile and track the phase-
-    modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u, mass
-    renormalized; eps may be negative."""
+    modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u and the
+    reference u are both renormalized to mass a; eps may be negative."""
     vals = (1.0 + eps * np.exp(-grid.nodes ** 2)) * u.values
     with np.errstate(over="ignore"):
-        m = mass(grid, vals)
+        m, m_u = mass(grid, vals), mass(grid, u)
     if not 0.0 < m < math.inf:
         raise ValueError(f"the profile perturbed by eps = {eps!r} has mass {m!r}")
     vals = vals * math.sqrt(params.a / m)
     psi0 = Profile(grid, vals.astype(complex))
-    summary = evolve(params, grid, psi0, dt, t_end, reference=u, stride=STABILITY_STRIDE)
+    ref = Profile(grid, u.values * math.sqrt(params.a / m_u))
+    summary = evolve(params, grid, psi0, dt, t_end, reference=ref, stride=STABILITY_STRIDE)
     d0 = summary.h1_distance[0]
     dmax = float(np.max(summary.h1_distance))
     growth = dmax / d0 if d0 > 0.0 else (math.inf if dmax > 0.0 else 1.0)

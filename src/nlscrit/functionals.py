@@ -10,13 +10,13 @@ points are the roots of phi(tau) = tau psi'(tau) = P(u_tau).  Below the
 mass-critical exponent and in the admissible regimes the root structure is
 a pair tau_plus < tau_minus (local min at negative level, global max at
 nonnegative level); at the mass-critical exponent there is either one root
-(a maximum) or none.
+(a maximum) or none.  psi_value and phi_value also take arrays of tau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import constants as cst
 from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass
 
 MASS_RTOL = 1e-6
-FIBER_SAMPLES = 512    # log-spaced tau in [1e-6, 1e6] recorded by fiber_critical_points
+FIBER_SAMPLES = 512    # log-spaced tau of the critical-q scan and the `fiber` table
 
 
 class RegimeError(ValueError):
@@ -171,7 +171,6 @@ class FiberReport:
     e_at_tau_minus: float | None
     psi_second_at_tau_minus: float | None
     strictly_decreasing: bool          # critical q, no root: psi < 0 and falling
-    samples: list = field(default_factory=list, repr=False)  # (tau, psi, phi)
 
 
 def _reduced(params, nm):
@@ -193,9 +192,10 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
     Requires u on the mass sphere (relative tolerance MASS_RTOL).  Below the
     mass-critical exponent the admissible regimes are Omega1/Omega2; above
     the threshold curve no root structure is described and the call is
-    refused.  At the mass-critical exponent the unique root exists iff
-    ||grad u||^2 > mu gamma_q int |u|^q and has a closed form, which is
-    cross-checked against a log-spaced scan.
+    refused; otherwise psi is evaluated only at the roots tau_plus < tau_minus.
+    At the mass-critical exponent the unique root exists iff ||grad u||^2 >
+    mu gamma_q int |u|^q and has a closed form tau_u, cross-checked by the
+    sign of phi on FIBER_SAMPLES points tau_u * logspace(-6, 6).
     """
     nm = fiber_norms(params, grid, u)
     if abs(nm.mass - params.a) > MASS_RTOL * params.a:
@@ -205,20 +205,17 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
     if ex.q_class == "supercritical":
         raise RegimeError("no fiber analysis above the mass-critical exponent")
 
-    taus = np.logspace(-6.0, 6.0, FIBER_SAMPLES)
-    samples = list(zip(taus.tolist(),
-                       np.asarray(psi_value(params, nm, taus)).tolist(),
-                       np.asarray(phi_value(params, nm, taus)).tolist()))
-
     if ex.q_class == "critical":
         excess = nm.grad2 - params.mu * ex.gamma_q * nm.sub
         if excess <= 0.0:
             return FiberReport(tau_plus=None, tau_minus=None, e_at_tau_plus=None,
                                e_at_tau_minus=None, psi_second_at_tau_minus=None,
-                               strictly_decreasing=True, samples=samples)
+                               strictly_decreasing=True)
         tau_u = (excess / nm.crit) ** (1.0 / (ex.two_star - 2.0))
-        # scan cross-check: phi must change sign exactly once, near tau_u
-        sgn = np.sign([p for _, _, p in samples])
+        # scan cross-check: phi / tau^2 changes sign exactly once, at tau_u
+        taus = tau_u * np.logspace(-6.0, 6.0, FIBER_SAMPLES)
+        with np.errstate(under="ignore", over="ignore"):
+            sgn = np.sign(excess - nm.crit * taus ** (ex.two_star - 2.0))
         flips = np.flatnonzero(np.diff(sgn) != 0)
         if flips.size != 1:
             raise StructuralAnomalyError(
@@ -226,7 +223,7 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
         return FiberReport(tau_plus=None, tau_minus=tau_u, e_at_tau_plus=None,
                            e_at_tau_minus=psi_value(params, nm, tau_u),
                            psi_second_at_tau_minus=psi_second(params, nm, tau_u),
-                           strictly_decreasing=False, samples=samples)
+                           strictly_decreasing=False)
 
     if thresholds is None:
         thresholds = cst.thresholds(params)
@@ -256,4 +253,4 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
                        e_at_tau_plus=psi_value(params, nm, tau_p),
                        e_at_tau_minus=psi_value(params, nm, tau_m),
                        psi_second_at_tau_minus=psi_second(params, nm, tau_m),
-                       strictly_decreasing=False, samples=samples)
+                       strictly_decreasing=False)

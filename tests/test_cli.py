@@ -341,6 +341,9 @@ def test_schema_version_everywhere(tmp_path, capsys):
      "--probe", "blowup", "--amp", "inf"],
     ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
      "--probe", "stability", "--eps", "1e300", "--dt", "1e-3", "--t-end", "0.002"],
+    ["minimize", "--tol", "inf"],
+    ["subadd", "--tol", "nan"],
+    ["sweep", "--mu-range", "1:1:1", "--a-rel-range", "0.5:0.5:1", "--tol", "0"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
-"""Property test of the CLI contract: every argv of `constants`, `fiber` and
-`evolve` exits 0, 1 or 2; exits 0 and 1 print exactly one document on
-stdout and nothing on stderr; no argv ends in a traceback."""
+"""Property test of the CLI contract: every argv of `constants`, `fiber`,
+`mountain-pass` and `evolve` exits 0, 1 or 2; exits 0 and 1 print exactly
+one document on stdout and nothing on stderr; no argv ends in a traceback."""
 
 import csv
 import io
@@ -76,9 +76,11 @@ evolve_tail = st.tuples(
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["constants", "fiber", "evolve"]))
+    command = draw(st.sampled_from(["constants", "fiber", "mountain-pass", "evolve"]))
     argv = [command] + sum(draw(problem), [])
-    if command == "fiber":
+    if command == "mountain-pass":
+        argv += sum(draw(grid_flags), [])
+    elif command == "fiber":
         argv += sum(draw(grid_flags), []) + ["--profile", draw(st.sampled_from(
             ["json", "csv", "missing"]))]
     elif command == "evolve":

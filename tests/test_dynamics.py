@@ -97,6 +97,16 @@ def test_stability_probe_negative_eps(params_half, dyn_grid, dyn_minimizer):
     assert not rep.summary.blowup_flag
 
 
+def test_stability_distance_ignores_the_scale_of_u(params_half, dyn_grid, dyn_minimizer):
+    # psi0 is renormalized to mass a, and so is the reference: scaling u by
+    # 2 changes neither
+    u = dyn_minimizer.final
+    reps = [dyn.stability_probe(params_half, dyn_grid, nc.Profile(dyn_grid, k * u.values),
+                                1e-2, 0.04, dt=2e-3) for k in (1.0, 2.0)]
+    assert reps[1].initial_distance == pytest.approx(reps[0].initial_distance, rel=1e-10)
+    assert reps[0].initial_distance < 0.1
+
+
 def test_blowup_probe_fires_on_witness(blowup_half):
     rep = blowup_half
     assert rep.blowup_flag

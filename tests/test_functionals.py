@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq as scipy_brentq
 
 import nlscrit as nc
+from nlscrit import cli
 from nlscrit import functionals as fnl
 from nlscrit import profiles
 
@@ -83,14 +85,34 @@ def test_two_root_structure_subcritical(params_half, soliton_grid, thr_half):
     assert taus[flips[1]] == pytest.approx(rep.tau_minus, rel=2e-3)
 
 
-def test_fiber_samples_recorded(params_half, soliton_grid, thr_half):
+def test_fiber_samples_recorded(params_half, soliton_grid, tmp_path, capsys):
+    path = str(tmp_path / "u.json")
+    nc.save_profile(path, profiles.gaussian(params_half, 1.0, soliton_grid))
+    code = cli.main(["fiber", "--profile", path, "--dim", "3", "--q", "2.5",
+                     "--mu", "1", "--a", "0.5a0"])
+    rows = json.loads(capsys.readouterr().out)["samples"]
+    assert code == 0 and len(rows) == 512
+    assert [r[0] for r in rows] == np.logspace(-6.0, 6.0, 512).tolist()
+    # the table is of the profile the command renormalizes to mass a
+    u = nc.load_profile(path)
+    u = nc.Profile(u.grid, u.values * math.sqrt(params_half.a / nc.mass(u.grid, u)))
+    nm = fnl.fiber_norms(params_half, u.grid, u)
+    for tau, psi, phi in (rows[0], rows[255], rows[-1]):
+        assert psi == pytest.approx(fnl.psi_value(params_half, nm, tau), rel=1e-12)
+        assert phi == pytest.approx(fnl.phi_value(params_half, nm, tau), rel=1e-12)
+
+
+def test_fiber_evaluates_only_at_the_roots(params_half, soliton_grid, thr_half,
+                                           monkeypatch):
+    seen = []
+    for name in ("psi_value", "phi_value"):
+        def spy(params, nm, tau, f=getattr(fnl, name)):
+            seen.append(np.ndim(tau))
+            return f(params, nm, tau)
+        monkeypatch.setattr(fnl, name, spy)
     u = profiles.gaussian(params_half, 1.0, soliton_grid)
-    rep = fnl.fiber_critical_points(params_half, soliton_grid, u, thresholds=thr_half)
-    assert len(rep.samples) == 512
-    tau0, psi0, phi0 = rep.samples[0]
-    nm = fnl.fiber_norms(params_half, soliton_grid, u)
-    assert psi0 == pytest.approx(fnl.psi_value(params_half, nm, tau0), rel=1e-12)
-    assert phi0 == pytest.approx(fnl.phi_value(params_half, nm, tau0), rel=1e-12)
+    fnl.fiber_critical_points(params_half, soliton_grid, u, thresholds=thr_half)
+    assert seen and set(seen) == {0}
 
 
 def test_fiber_mass_check(params_half, soliton_grid, thr_half):
@@ -125,6 +147,20 @@ def test_fiber_critical_q_closed_form():
     e_exact = 0.25 * (excess / nm.crit ** 0.5) ** 2.0
     assert rep.e_at_tau_minus == pytest.approx(e_exact, rel=1e-6)
     assert rep.psi_second_at_tau_minus < 0.0
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-10])
+def test_fiber_critical_q_root_anywhere(a):
+    # tau_u scales like a^(-1/2): at a = 1e-10 it lies beyond tau = 1e6
+    g = nc.make_grid(4, 50.0, 2048)
+    Q = profiles.weinstein_ground_state(4, 3.0, g)
+    p = nc.ProblemParams(4, 3.0, 1.0, a)
+    u = nc.Profile(g, Q.values * math.sqrt(a / nc.mass(g, Q)))
+    rep = fnl.fiber_critical_points(p, g, u)
+    nm = fnl.fiber_norms(p, g, u)
+    tau_u = ((nm.grad2 - p.mu * nc.exponents(p).gamma_q * nm.sub) / nm.crit) ** 0.5
+    assert rep.tau_minus == tau_u and (tau_u > 1e6) == (a < 1e-6)
+    assert rep.e_at_tau_minus == fnl.psi_value(p, nm, tau_u)
 
 
 def test_fiber_critical_q_decreasing_branch():
