@@ -213,14 +213,21 @@ def _cmd_subadd(args: argparse.Namespace) -> dict:
 def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
     params = _resolve_mass(args)
     g = _make_grid(args)
-    est = mp.estimate_mp_level(params, g)
+    family = mp.MPFamilySpec()
+    est = mp.estimate_mp_level(params, g, family)
+    size = len(family.bubble_widths) * len(family.amplitudes)
+    witness_energy = fnl.energy(params, g, est.witness)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "level": est.level, "m_a": est.m_a, "upper_bound": est.upper_bound,
         "accepted": est.accepted,
-        "witness_energy": fnl.energy(params, g, est.witness),
+        "witness_energy": witness_energy,
         "witness_pohozaev": fnl.pohozaev(params, g, est.witness),
         "family_trace": _downsample(est.family_trace),
+        "diagnostics": {
+            "family_size": size, "admitted": len(est.family_trace),
+            "refused": size - len(est.family_trace),
+            "witness_level_gap": abs(witness_energy - est.level) / abs(est.level)},
     }
     if args.witness_out:
         gridmod.save_profile(args.witness_out, est.witness)
@@ -389,9 +396,19 @@ def _finite(flag: str, positive: bool = False):
     return parse
 
 
-def _parse_range(text: str):
-    lo, hi, n = text.split(":")
-    return float(lo), float(hi), int(n)
+def _lattice(flag: str):
+    """argparse type of a lo:hi:n range flag.  A bound that is not finite or
+    a count n below 1 is a domain error of the value, raised as DomainError
+    like `_finite`'s."""
+    def parse(text: str):
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+        if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
+            raise DomainError("usage", f"{flag} must be lo:hi:n with finite lo and hi "
+                                       f"and n >= 1, got {text}")
+        return lo, hi, n
+    parse.__name__ = "lo:hi:n"
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
@@ -473,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem(p, mass=False)
     _add_grid(p)
     _add_tol(p)
-    p.add_argument("--mu-range", type=_parse_range, required=True, help="lo:hi:n")
-    p.add_argument("--a-rel-range", type=_parse_range, required=True,
+    p.add_argument("--mu-range", type=_lattice("--mu-range"), required=True, help="lo:hi:n")
+    p.add_argument("--a-rel-range", type=_lattice("--a-rel-range"), required=True,
                    help="lo:hi:n in multiples of a0(mu)")
     p.add_argument("--with-ma", action="store_true")
     p.add_argument("--with-level", action="store_true")

@@ -185,6 +185,30 @@ def _reduced(params, nm):
     return red, peak
 
 
+def fiber_upper_root(params: cst.ProblemParams, nm: FiberNorms):
+    """The two-root step of `fiber_critical_points` below the mass-critical
+    exponent, from the norms alone: bracket both roots of the reduced fiber
+    map, refusing (StructuralAnomalyError) where the map has no root or a
+    bracket runs out of [1e-14, 1e14], and solve for the upper root.
+    Returns (tau_minus, red, lo, peak); the lower root lies in [lo, peak]."""
+    red, peak = _reduced(params, nm)
+    if red(peak) <= 0.0:
+        raise StructuralAnomalyError(
+            "fiber map has no root although the regime guarantees two; "
+            "the profile may be under-resolved on this grid")
+    lo = peak
+    while red(lo) > 0.0:
+        lo /= 2.0
+        if lo < 1e-14:
+            raise StructuralAnomalyError("no lower fiber root above tau = 1e-14")
+    hi = peak
+    while red(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e14:
+            raise StructuralAnomalyError("no upper fiber root below tau = 1e14")
+    return brentq(red, peak, hi), red, lo, peak
+
+
 def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                           thresholds: cst.Thresholds | None = None) -> FiberReport:
     """Locate the dilation parameters where P(u_tau) = 0.
@@ -232,23 +256,8 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
             "no two-root fiber structure is available above the threshold curve "
             "(regime Omega3); refuse rather than guess")
 
-    red, peak = _reduced(params, nm)
-    if red(peak) <= 0.0:
-        raise StructuralAnomalyError(
-            "fiber map has no root although the regime guarantees two; "
-            "the profile may be under-resolved on this grid")
-    lo = peak
-    while red(lo) > 0.0:
-        lo /= 2.0
-        if lo < 1e-14:
-            raise StructuralAnomalyError("no lower fiber root above tau = 1e-14")
-    hi = peak
-    while red(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e14:
-            raise StructuralAnomalyError("no upper fiber root below tau = 1e14")
+    tau_m, red, lo, peak = fiber_upper_root(params, nm)
     tau_p = brentq(red, lo, peak)
-    tau_m = brentq(red, peak, hi)
     return FiberReport(tau_plus=tau_p, tau_minus=tau_m,
                        e_at_tau_plus=psi_value(params, nm, tau_p),
                        e_at_tau_minus=psi_value(params, nm, tau_m),

@@ -347,19 +347,30 @@ def _interpolator(u: Profile) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
+def dilation(u: Profile) -> Callable[[float], Profile]:
+    """tau -> rescale(u, tau), building u's interpolant at most once, for
+    callers that dilate one profile by many tau."""
+    grid, f = u.grid, None
+
+    def at(tau: float) -> Profile:
+        nonlocal f
+        if tau <= 0.0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        if tau == 1.0:
+            return Profile(grid, u.values.copy())
+        if f is None:
+            f = _interpolator(u)
+        return Profile(grid, tau ** (grid.dim / 2.0) * f(tau * grid.nodes))
+    return at
+
+
 def rescale(u: Profile, tau: float) -> Profile:
     """Mass-preserving dilation u_tau(r) = tau^(N/2) u(tau r) on the same grid.
 
     Values requested beyond r_max are 0.  Exact identities, up to
     interpolation error: ||u_tau||_2 = ||u||_2, grad_l2_sq scales by tau^2,
     int |u_tau|^t scales by tau^(t gamma_t)."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if tau == 1.0:
-        return Profile(u.grid, u.values.copy())
-    f = _interpolator(u)
-    vals = tau ** (u.grid.dim / 2.0) * f(tau * u.grid.nodes)
-    return Profile(u.grid, vals)
+    return dilation(u)(tau)
 
 
 def resample(u: Profile, grid: RadialGrid) -> Profile:

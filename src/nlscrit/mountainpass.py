@@ -30,11 +30,13 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass, rescale
+from .grid import (Profile, RadialGrid, dilation, grad_l2_sq, lq_norm_pow, mass,
+                   rescale)
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
 BUMP_HALF_WIDTH = 0.5
+MP_BLOCK = 16   # trial amplitudes per block of the mountain-pass family
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +54,13 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
         raise fnl.RegimeError(
             "no admissible projection: the fiber map is strictly decreasing")
     a = params.a
+    dilate = dilation(u)
 
     def renorm(p: Profile) -> Profile:
         return Profile(grid, p.values * math.sqrt(a / mass(grid, p)))
 
     def p_of(tau: float) -> float:
-        return fnl.pohozaev(params, grid, renorm(rescale(u, tau)))
+        return fnl.pohozaev(params, grid, renorm(dilate(tau)))
 
     t0 = rep.tau_minus
     lo, hi = 0.97 * t0, 1.03 * t0
@@ -71,7 +74,7 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
     if plo * phi_ > 0.0:
         raise RuntimeError("could not re-bracket the Pohozaev root after resampling")
     tau = fnl.brentq(p_of, lo, hi)
-    w = renorm(rescale(u, tau))
+    w = renorm(dilate(tau))
     pw = fnl.pohozaev(params, grid, w)
     g2 = grad_l2_sq(grid, w)
     if abs(pw) > P_RTOL * g2:
@@ -106,6 +109,70 @@ class LevelEstimate:
     accepted: bool = True
 
 
+def _family_norms(params: cst.ProblemParams, grid: RadialGrid,
+                  family: MPFamilySpec, umin: np.ndarray):
+    """(b, bubble values, s, FiberNorms of w) for each trial
+    w = c (umin + s bubble_b), c^2 = a / ||umin + s bubble_b||^2, in family
+    order.  The bubble vanishes beyond 2 * cutoff_radius, so the norms are
+    the tail of umin, integrated once, plus one power-and-product pass over
+    the bubble's support per block of MP_BLOCK amplitudes; ||grad w||^2 is
+    the quadratic c^2 (g_uu + 2 s g_ub + s^2 g_bb) of three stiffness forms."""
+    ts, q = params.ex.two_star, params.q
+    k = grid.interval_stiffness
+    m = int(np.count_nonzero(grid.nodes < 2.0 * family.cutoff_radius))
+    W, tail, Wt = grid.full_weights[:m], umin[m:], grid.full_weights[m:]
+    tail_m2 = float(np.dot(Wt, tail * tail))
+    tail_crit = float(np.dot(Wt, np.abs(tail) ** ts))
+    tail_sub = float(np.dot(Wt, np.abs(tail) ** q))
+    du = np.diff(np.append(umin, 0.0))
+    g_uu = float(np.dot(k, du * du))
+    amps = np.asarray(family.amplitudes, dtype=float)
+    # the block and its powers, written in place: two buffers per call
+    buf = np.empty((2, min(MP_BLOCK, len(amps)), m))
+    for b in family.bubble_widths:
+        bub = profiles.cutoff_profile(
+            profiles.aubin_talenti(params.dim, b, grid), family.cutoff_radius).values
+        db = np.diff(np.append(bub, 0.0))
+        g_ub, g_bb = float(np.dot(k, du * db)), float(np.dot(k, db * db))
+        for start in range(0, len(amps), MP_BLOCK):
+            s = amps[start:start + MP_BLOCK]
+            v, pw = buf[:, :len(s)]
+            np.multiply(s[:, None], bub[:m], out=v)
+            v += umin[:m]
+            m2 = np.multiply(v, v, out=pw) @ W + tail_m2
+            np.abs(v, out=v)
+            crit = np.power(v, ts, out=pw) @ W + tail_crit
+            sub = np.power(v, q, out=pw) @ W + tail_sub
+            c2 = params.a / m2
+            grad2 = c2 * (g_uu + 2.0 * s * g_ub + s * s * g_bb)
+            crit = c2 ** (ts / 2.0) * crit
+            sub = c2 ** (q / 2.0) * sub
+            for j, sj in enumerate(family.amplitudes[start:start + MP_BLOCK]):
+                yield b, bub, sj, fnl.FiberNorms(grad2=float(grad2[j]), crit=float(crit[j]),
+                                                 sub=float(sub[j]), mass=params.a)
+
+
+def _family_levels(params: cst.ProblemParams, grid: RadialGrid,
+                   family: MPFamilySpec, umin: np.ndarray):
+    """(trace, failures, best): the projected energy psi(tau_minus) of each
+    admitted trial as ((b, s), level) in family order, the (b, s, reason)
+    of each trial that `fnl.fiber_upper_root` refuses, and the (bubble
+    values, s) of the lowest level, or None when every trial is refused."""
+    trace, failures = [], []
+    best, low = None, math.inf
+    for b, bub, s, nm in _family_norms(params, grid, family, umin):
+        try:
+            tau_m = fnl.fiber_upper_root(params, nm)[0]
+        except fnl.StructuralAnomalyError as exc:
+            failures.append((b, s, str(exc)))
+            continue
+        lev = fnl.psi_value(params, nm, tau_m)
+        trace.append(((b, s), lev))
+        if lev < low:
+            best, low = (bub, s), lev
+    return trace, failures, best
+
+
 def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
                       family: MPFamilySpec | None = None,
                       minimizer: minmod.SolveReport | None = None,
@@ -131,28 +198,15 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     W = grid.full_weights
     umin = minimizer.final.values
 
-    trace = []
-    best = (math.inf, None)   # (level, trial profile)
-    failures = []
-    for b in family.bubble_widths:
-        bub = profiles.cutoff_profile(
-            profiles.aubin_talenti(N, b, grid), family.cutoff_radius)
-        for s in family.amplitudes:
-            vals = umin + s * bub.values
-            vals = vals * math.sqrt(a / float(np.dot(W, vals * vals)))
-            w = Profile(grid, vals)
-            try:
-                rep = fnl.fiber_critical_points(params, grid, w, thresholds=thresholds)
-            except (fnl.RegimeError, fnl.StructuralAnomalyError) as exc:
-                failures.append((b, s, str(exc)))
-                continue
-            lev = rep.e_at_tau_minus
-            trace.append(((b, s), lev))
-            if lev < best[0]:
-                best = (lev, w)
-    level, w = best
-    if w is None:
+    trace, failures, best = _family_levels(params, grid, family, umin)
+    if best is None:
         raise RuntimeError(f"family produced no admissible projection: {failures[:4]}")
+    # the best trial, built and analysed as a profile: its level and
+    # projection do not depend on the blocked norms' rounding
+    bub, s = best
+    vals = umin + s * bub
+    w = Profile(grid, vals * math.sqrt(a / float(np.dot(W, vals * vals))))
+    level = fnl.fiber_critical_points(params, grid, w, thresholds=thresholds).e_at_tau_minus
     witness = project_to_pohozaev_minus(params, grid, w, thresholds=thresholds)
     accepted = bool(0.0 < level < upper)
     return LevelEstimate(level=level, witness=witness, m_a=m_a,
@@ -204,6 +258,8 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     n_values = sorted(float(v) for v in n_values)
     if not n_values:
         raise ValueError("need at least one cutoff radius")
+    if not all(0.0 < v < math.inf for v in n_values):
+        raise ValueError(f"cutoff radii must be positive and finite, got {n_values}")
     if 2.0 * max(n_values) > grid.r_max:
         raise ValueError(f"cutoff support 2*{max(n_values)} exceeds r_max = {grid.r_max}")
     N, q, mu = params.dim, params.q, params.mu
@@ -249,6 +305,9 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
         c2 = 1.0 + e2
         cq2m1 = math.expm1((q - 2.0) / 2.0 * math.log1p(e2))    # c^(q-2) - 1
         excess = c2 * (mu * gam * dh - dg - mu * gam * hv * cq2m1)
+        if not su - ds > 0.0:
+            raise ValueError(f"cutoff radius {ncut!r} leaves nothing of the profile "
+                             "on this grid")
         denom = c2 * (su - ds) ** (2.0 / ts)
         ratio = excess / denom
         ratios.append(ratio)
@@ -286,8 +345,8 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
     """
     _require_critical(params)
     A_values = [float(x) for x in A_values]
-    if any(x <= 0.0 for x in A_values) or not A_values:
-        raise ValueError("offsets A_n must be positive")
+    if not A_values or not all(0.0 < x < math.inf for x in A_values):
+        raise ValueError("offsets A_n must be positive and finite")
     N, q, mu, a = params.dim, params.q, params.mu, params.a
     ts, gam = params.ex.two_star, params.ex.gamma_q
 

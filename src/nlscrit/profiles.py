@@ -68,25 +68,30 @@ def weinstein_ground_state(dim: int, q: float, grid: RadialGrid) -> Profile:
         nl = W * np.abs(u) ** (q - 2.0) * u
         return Lu, nl, float(np.linalg.norm(Lu - nl) / np.linalg.norm(nl))
 
-    with np.errstate(under="ignore"):
-        u = B ** (1.0 / (q - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
-        for _ in range(PETVIASHVILI_MAX):
-            Lu, nl, res = residual(u)
-            if res < PETVIASHVILI_TOL:
-                break
-            stab = (np.dot(u, Lu) / np.dot(u, nl)) ** ((q - 1.0) / (q - 2.0))
-            u = stab * tridiag_solve(L_off, L_diag, nl)
-        else:
-            raise RuntimeError(f"Petviashvili iteration stalled at residual {res:.2e}")
-        for _ in range(NEWTON_MAX):
-            if res < NEWTON_TOL:
-                break
-            jac = L_diag - (q - 1.0) * W * np.abs(u) ** (q - 2.0)
-            v = u - scaled_tridiag_solve(L_off, jac, Lu - nl, sc)
-            Lv, nv, res_v = residual(v)
-            if not res_v < res:
-                break
-            u, Lu, nl, res = v, Lv, nv, res_v
+    # on grids that cannot hold the ground state (r_max far too small or far
+    # too large for n) the iterate overflows or vanishes: an error, not a warning
+    try:
+        with np.errstate(under="ignore", over="raise", divide="raise", invalid="raise"):
+            u = B ** (1.0 / (q - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
+            for _ in range(PETVIASHVILI_MAX):
+                Lu, nl, res = residual(u)
+                if res < PETVIASHVILI_TOL:
+                    break
+                stab = (np.dot(u, Lu) / np.dot(u, nl)) ** ((q - 1.0) / (q - 2.0))
+                u = stab * tridiag_solve(L_off, L_diag, nl)
+            else:
+                raise RuntimeError(f"Petviashvili iteration stalled at residual {res:.2e}")
+            for _ in range(NEWTON_MAX):
+                if res < NEWTON_TOL:
+                    break
+                jac = L_diag - (q - 1.0) * W * np.abs(u) ** (q - 2.0)
+                v = u - scaled_tridiag_solve(L_off, jac, Lu - nl, sc)
+                Lv, nv, res_v = residual(v)
+                if not res_v < res:
+                    break
+                u, Lu, nl, res = v, Lv, nv, res_v
+    except FloatingPointError as exc:
+        raise RuntimeError(f"ground-state iteration failed on this grid: {exc}") from exc
     if res > NEWTON_FLOOR:
         raise RuntimeError(f"ground-state Newton stopped at residual {res:.2e}")
     return Profile(grid, u)

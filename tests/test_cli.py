@@ -273,12 +273,31 @@ def test_sweep_unconverged_solve_is_row_error(capsys, monkeypatch):
     assert error == "RuntimeError: local minimization did not converge (residual 2.50e-01)"
 
 
-def test_sweep_empty_grid_header_only(capsys):
+def test_sweep_empty_lattice_is_usage_error(capsys):
     code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5",
                          "--mu-range", "1:1:1", "--a-rel-range", "0.5:1.5:0"],
                         capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] == "usage" and "--a-rel-range" in doc["message"]
+
+
+@pytest.mark.parametrize("args, accepted, gap", [
+    # the README point: the witness carries the family's level
+    (["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"], True, (0.0, 1e-5)),
+    # 256 nodes do not resolve the rescaled witness: it sits 53 % above the level
+    (["--grid-n", "256", "--dim", "5", "--q", "2.4", "--a", "0.2"], False, (0.5, 0.6)),
+])
+def test_mountain_pass_diagnostics(args, accepted, gap, capsys):
+    code, out = run_cli(["mountain-pass"] + args, capsys)
     assert code == 0
-    assert out.strip() == "mu,a,regime,m_a,level,error"
+    doc = json.loads(out)
+    assert doc["accepted"] is accepted
+    diag = doc["diagnostics"]
+    assert diag["family_size"] == 256
+    assert diag["admitted"] == len(doc["family_trace"]) == 256 and diag["refused"] == 0
+    assert diag["witness_level_gap"] == abs(doc["witness_energy"] - doc["level"]) / abs(doc["level"])
+    assert gap[0] <= diag["witness_level_gap"] < gap[1]
 
 
 @pytest.mark.parametrize("args", [
@@ -344,6 +363,22 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["minimize", "--tol", "inf"],
     ["subadd", "--tol", "nan"],
     ["sweep", "--mu-range", "1:1:1", "--a-rel-range", "0.5:0.5:1", "--tol", "0"],
+    ["sweep", "--dim", "3", "--q", "2.5", "--mu-range", "1:2:0", "--a-rel-range", "0.5:1:2"],
+    ["sweep", "--dim", "3", "--q", "2.5", "--mu-range", "1:2:-3", "--a-rel-range", "0.5:1:2"],
+    # grids that cannot hold the ground state: its iterate overflows or vanishes
+    ["profile", "--dim", "3", "--q", "2.01", "--a", "1.0", "--grid-n", "32", "--r-max", "1e-3",
+     "--kind", "weinstein"],
+    ["profile", "--dim", "5", "--q", "3.2", "--a", "1.0", "--grid-n", "16", "--r-max", "1e4",
+     "--grading", "1", "--kind", "weinstein"],
+    ["cpo", "--case", "1", "--dim", "5", "--mu", "1e8", "--a", "1e8", "--grid-n", "32",
+     "--r-max", "1e4"],
+    ["cpo", "--case", "1", "--dim", "3", "--mass-multiple", "1", "--grid-n", "64",
+     "--r-max", "30", "--n-values", "0"],
+    ["cpo", "--case", "1", "--dim", "4", "--q", "3", "--mass-multiple", "1", "--grid-n", "256",
+     "--r-max", "60", "--n-values", "nan"],
+    ["cpo", "--case", "1", "--dim", "6", "--mu", "1e-8", "--a", "1e-8", "--grid-n", "64",
+     "--r-max", "1e-3", "--n-values", "1e-300"],
+    ["sweep", "--mu-range", "1:inf:1", "--a-rel-range", "0.9:1.1:2"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):

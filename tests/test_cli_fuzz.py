@@ -1,6 +1,7 @@
-"""Property test of the CLI contract: every argv of `constants`, `fiber`,
-`mountain-pass` and `evolve` exits 0, 1 or 2; exits 0 and 1 print exactly
-one document on stdout and nothing on stderr; no argv ends in a traceback."""
+"""Property test of the CLI contract: every argv of every command exits 0,
+1 or 2; exits 0 and 1 print exactly one document (a CSV table for `sweep`
+and `evolve --csv`) on stdout and nothing on stderr; no argv ends in a
+traceback."""
 
 import csv
 import io
@@ -17,11 +18,15 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 DIMS = ["3", "4", "5", "6", "2", "0", "x"]
-QS = ["2.5", "3", "auto", "2", "6", "1e400", "nan", "q"]
+QS = ["2.5", "3", "auto", "2.01", "2", "6", "1e400", "nan", "q"]
 FLOATS = ["1", "0.5", "2.0", "0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "z"]
 MASSES = ["auto-a0", "0.5a0", "1.0", "0.2", "-1", "0", "nan", "inf", "xa0", "a0", ""]
 GRID_N = ["16", "64", "256", "15", "0", "-8", "1.5"]
-R_MAX = ["10", "30", "0", "-5", "nan", "inf", "1e-300"]
+R_MAX = ["10", "30", "1e4", "0", "-5", "nan", "inf", "1e-300", "1e-3"]
+TOLS = ["1e-8", "1e-6", "0", "-1", "nan", "inf"]
+# lo:hi:n lattices of `sweep`; n <= 2 keeps a run to at most two solves
+RANGES = ["0.5:1.5:2", "1:1:1", "0.9:1.1:2", "1:2:0", "1:2:-3", "nan:1:2", "1:inf:1",
+          "1:2", "x:1:1"]
 
 
 def run(argv):
@@ -67,6 +72,11 @@ time_flags = st.one_of(
     st.tuples(st.sampled_from(["0", "-1e-3", "nan", "inf", "1e-3"]),
               st.sampled_from(["0", "-1", "nan", "inf", "1e-3"])).map(
         lambda p: ["--dt", p[0], "--t-end", p[1]]))
+cpo_tail = st.tuples(
+    st.sampled_from(["1", "2", "3"]).map(lambda c: ["--case", c]),
+    optional("--steps", ["1", "2", "0", "-1"]),
+    optional("--n-values", ["5,10", "5", "3,x", "nan", "1e300", "-5"]),
+    optional("--a-values", ["0.1,0.01", "0.1", "-0.1", "0", "nan", "inf"]))
 evolve_tail = st.tuples(
     st.sampled_from(["json", "csv", "missing"]), time_flags,
     optional("--probe", ["none", "stability", "blowup", "other"]),
@@ -76,10 +86,28 @@ evolve_tail = st.tuples(
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["constants", "fiber", "mountain-pass", "evolve"]))
+    command = draw(st.sampled_from(["constants", "profile", "fiber", "minimize", "subadd",
+                                    "mountain-pass", "cpo", "evolve", "sweep"]))
+    if command == "sweep":   # no mass flags: the lattice sets (mu, a)
+        problem_flags = draw(problem)[:2]
+        argv = [command] + sum(problem_flags, []) + sum(draw(grid_flags), []) + [
+            "--mu-range", draw(st.sampled_from(RANGES)),
+            "--a-rel-range", draw(st.sampled_from(RANGES)),
+            "--with-ma", "--with-level"] + draw(optional("--tol", TOLS))
+        return argv
     argv = [command] + sum(draw(problem), [])
     if command == "mountain-pass":
         argv += sum(draw(grid_flags), [])
+    elif command == "profile":
+        argv += sum(draw(grid_flags), []) + [
+            "--kind", draw(st.sampled_from(["weinstein", "bubble", "gaussian", "other"]))]
+        argv += draw(optional("--b", FLOATS)) + draw(optional("--sigma", FLOATS))
+    elif command in ("minimize", "subadd"):
+        argv += sum(draw(grid_flags), []) + draw(optional("--tol", TOLS))
+        if command == "subadd":
+            argv += draw(optional("--a1", FLOATS))
+    elif command == "cpo":
+        argv += sum(draw(grid_flags), []) + sum(draw(cpo_tail), [])
     elif command == "fiber":
         argv += sum(draw(grid_flags), []) + ["--profile", draw(st.sampled_from(
             ["json", "csv", "missing"]))]
@@ -101,9 +129,11 @@ def test_cli_contract_is_total(inputs, argv):
     if code == 2:
         return
     assert err == ""
-    if code == 0 and "--csv" in argv:
+    if code == 0 and ("--csv" in argv or argv[0] == "sweep"):
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["t", "mass", "energy", "grad_norm", "h1_distance"]
+        header = (["mu", "a", "regime", "m_a", "level", "error"] if argv[0] == "sweep"
+                  else ["t", "mass", "energy", "grad_norm", "h1_distance"])
+        assert rows[0] == header
         assert len(rows) > 1
         return
     doc = json.loads(out)   # exactly one document: trailing text fails to parse

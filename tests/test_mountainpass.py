@@ -1,8 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import nlscrit as nc
+from nlscrit import constants as cst
 from nlscrit import functionals as fnl
+from nlscrit import minimize as mn
 from nlscrit import mountainpass as mp
 from nlscrit import profiles
 
@@ -77,6 +82,70 @@ def test_level_estimate_monotone_in_family(params_half, soliton_grid,
     est_small = mp.estimate_mp_level(params_half, soliton_grid, family=small,
                                      minimizer=minimizer_half, thresholds=thr_half)
     assert mp_estimate_half.level <= est_small.level + 1e-12
+
+
+def fiber_loop(params, grid, family, umin, thr):
+    """The trial family one profile at a time through fiber_critical_points:
+    (trace, refused (b, s), best trial profile)."""
+    trace, refused, best = [], [], (math.inf, None)
+    W = grid.full_weights
+    for b in family.bubble_widths:
+        bub = profiles.cutoff_profile(profiles.aubin_talenti(params.dim, b, grid),
+                                      family.cutoff_radius)
+        for s in family.amplitudes:
+            vals = umin + s * bub.values
+            w = nc.Profile(grid, vals * math.sqrt(params.a / float(np.dot(W, vals * vals))))
+            try:
+                lev = fnl.fiber_critical_points(params, grid, w, thresholds=thr).e_at_tau_minus
+            except fnl.StructuralAnomalyError:
+                refused.append((b, s))
+                continue
+            trace.append(((b, s), lev))
+            if lev < best[0]:
+                best = (lev, w)
+    return trace, refused, best[1]
+
+
+def assert_same_trace(got, want):
+    assert [row for row, _ in got] == [row for row, _ in want]
+    for (_, x), (_, y) in zip(got, want):
+        assert x == pytest.approx(y, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dim, q", [(3, "2.5"), (3, "3.2"), (4, "2.5"), (5, "2.4"),
+                                    (6, "2.2")])
+def test_blocked_family_matches_fiber_loop(dim, q):
+    qval, qexact = cst.parse_q(q)
+    unit = nc.ProblemParams(dim, qval, 1.0, 1.0, qexact)
+    params = unit.with_mass(0.5 * nc.critical_mass_a0(unit, nc.sobolev_constant(dim),
+                                                       nc.gn_constant(unit)))
+    g = nc.make_grid(dim, 50.0, 2048)
+    thr = nc.thresholds(params)
+    minimizer = mn.minimize_local(params, g, thresholds=thr)
+    family = mp.MPFamilySpec()
+    est = mp.estimate_mp_level(params, g, family, minimizer, thr)
+    trace, refused, w = fiber_loop(params, g, family, minimizer.final.values, thr)
+    assert not refused
+    assert_same_trace(est.family_trace, trace)
+    # the winner is rebuilt as a profile: level and witness to the bit
+    assert est.level == fnl.fiber_critical_points(params, g, w, thresholds=thr).e_at_tau_minus
+    witness = mp.project_to_pohozaev_minus(params, g, w, thresholds=thr)
+    assert np.array_equal(est.witness.values, witness.values)
+
+
+def test_blocked_family_refuses_the_loop_refusals(base325, a0_325, soliton_grid,
+                                                  minimizer_half):
+    # above the threshold curve, labelled Omega1, some trials have no fiber
+    # root: the blocked norms must refuse exactly those
+    params = base325.with_mass(3.0 * a0_325)
+    thr = dataclasses.replace(nc.thresholds(params), regime=nc.Regime.OMEGA1)
+    family = mp.MPFamilySpec()
+    umin = minimizer_half.final.values
+    trace, failures, _ = mp._family_levels(params, soliton_grid, family, umin)
+    want_trace, want_refused, _ = fiber_loop(params, soliton_grid, family, umin, thr)
+    assert want_trace and want_refused
+    assert [(b, s) for b, s, _ in failures] == want_refused
+    assert_same_trace(trace, want_trace)
 
 
 def test_cpo_case1_sequence():
