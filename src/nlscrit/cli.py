@@ -188,9 +188,8 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> dict:
-    params = _resolve_mass(args)
-    g = _make_grid(args)
-    rep = minmod.minimize_local(params, g, tol=args.tol)
+    rep = minmod.minimize_in_domain(_resolve_mass(args), _make_grid(args), args.tol)
+    g = rep.final.grid
     return {
         "schema_version": SCHEMA_VERSION,
         "energy": rep.energy, "pohozaev": rep.pohozaev, "lambda": rep.lam,
@@ -198,6 +197,7 @@ def _cmd_minimize(args: argparse.Namespace) -> dict:
         "boundary_hit": rep.boundary_hit, "converged": rep.converged,
         "grad_l2_sq": gridmod.grad_l2_sq(g, rep.final),
         "trace": _downsample(rep.trace),
+        "diagnostics": {"r_max": g.r_max},
     }
 
 
@@ -212,9 +212,11 @@ def _cmd_subadd(args: argparse.Namespace) -> dict:
 
 def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
     params = _resolve_mass(args)
-    g = _make_grid(args)
+    thr = cst.thresholds(params)
+    rep = minmod.minimize_in_domain(params, _make_grid(args), thresholds=thr)
+    g = rep.final.grid
     family = mp.MPFamilySpec()
-    est = mp.estimate_mp_level(params, g, family)
+    est = mp.estimate_mp_level(params, g, family, minimizer=rep, thresholds=thr)
     size = len(family.bubble_widths) * len(family.amplitudes)
     witness_energy = fnl.energy(params, g, est.witness)
     doc = {
@@ -227,7 +229,8 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
         "diagnostics": {
             "family_size": size, "admitted": len(est.family_trace),
             "refused": size - len(est.family_trace),
-            "witness_level_gap": abs(witness_energy - est.level) / abs(est.level)},
+            "witness_level_gap": abs(witness_energy - est.level) / abs(est.level),
+            "r_max": g.r_max},
     }
     if args.witness_out:
         gridmod.save_profile(args.witness_out, est.witness)
@@ -302,21 +305,22 @@ def _cmd_evolve(args: argparse.Namespace):
 
 def _sweep_point(params, g, with_ma, with_level, tol) -> list[str]:
     """[regime, m_a, level, error] of one sweep point; m_a and level come from
-    minimize_in_domain, which may solve at an exact dilation of params."""
+    minimize_in_domain, which may solve on a grid wider than g."""
     cells = ["", "", "", ""]
     try:
         thr = cst.thresholds(params)
         cells[0] = thr.regime.value if thr.regime else ""
         if (with_ma or with_level) and thr.regime in (cst.Regime.OMEGA1,
                                                       cst.Regime.OMEGA2):
-            p, thr, rep = minmod.minimize_in_domain(params, g, tol, thr)
+            rep = minmod.minimize_in_domain(params, g, tol, thr)
             if not rep.converged:
                 raise RuntimeError("local minimization did not converge "
                                    f"(residual {rep.grad_residual:.2e})")
             if with_ma:
                 cells[1] = repr(rep.energy)
             if with_level:
-                est = mp.estimate_mp_level(p, g, minimizer=rep, thresholds=thr)
+                est = mp.estimate_mp_level(params, rep.final.grid, minimizer=rep,
+                                           thresholds=thr)
                 cells[2] = repr(est.level)
     except (ValueError, RuntimeError, ArithmeticError) as exc:   # stays in-row
         cells[3] = f"{type(exc).__name__}: {exc}"

@@ -38,8 +38,8 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import (Profile, RadialGrid, lq_norm_pow, mass, rescale,
-                   scaled_tridiag_solve, tridiag_solve)
+from .grid import (Profile, RadialGrid, lq_norm_pow, make_grid, mass, resample,
+                   rescale, scaled_tridiag_solve, tridiag_solve)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
@@ -243,37 +243,29 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                        converged=converged and not boundary_hit)
 
 
-def _dilate(params: cst.ProblemParams, t: float) -> cst.ProblemParams:
-    """(mu t^(N - q(N-2)/2), a / t^2): the image of (mu, a) under the
-    dilation u -> t^((N-2)/2) u(t x), which keeps ||grad u||^2, int |u|^2*,
-    the energy, P and the mountain-pass level, and scales lambda by t^2."""
-    N, q = params.dim, params.q
-    return cst.ProblemParams(N, q, params.mu * t ** (N - q * (N - 2) / 2.0),
-                             params.a / (t * t), params.q_exact)
-
-
 def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float = 1e-8,
-                       thresholds: cst.Thresholds | None = None):
-    """minimize_local at params, or at an exact dilation of params when the
-    minimizer outgrows the grid.
+                       thresholds: cst.Thresholds | None = None) -> SolveReport:
+    """minimize_local at params, on a wider grid when the minimizer outgrows
+    this one.
 
     A solve with lambda >= 0, or with ten decay lengths 10/sqrt(-lambda)
-    beyond r_max, is repeated at _dilate(params, t) from the dilated
-    minimizer, at most 4 times: t = 4 when lambda >= 0, else t puts ten
-    decay lengths at r_max / 2.  E, P and the mountain-pass level are
-    invariants of the dilation orbit, so the result holds for params
-    itself.  Returns (params, thresholds, SolveReport) of the last solve."""
+    beyond r_max, is repeated from its resampled minimizer on the grid with
+    r_max stretched by t, at most 4 times: t = 4 when lambda >= 0, else t puts
+    ten decay lengths at r_max / 2.  Stretching the nodes by t scales the
+    weights by t^N and the stiffness by t^(N-2), as the dilation of (mu, a) to
+    (mu t^(N - q(N-2)/2), a / t^2) does, so m_a is that of the dilated problem
+    and every other number belongs to params.  Returns the last solve's
+    report; final.grid is the grid it ran on."""
     if thresholds is None:
         thresholds = cst.thresholds(params)
     init = None
     for attempt in range(5):
         rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
         if attempt == 4 or (rep.lam < 0.0 and 10.0 / math.sqrt(-rep.lam) <= grid.r_max):
-            return params, thresholds, rep
+            return rep
         t = 4.0 if rep.lam >= 0.0 else 20.0 / (math.sqrt(-rep.lam) * grid.r_max)
-        init = rescale(rep.final, t)
-        params = _dilate(params, t)
-        thresholds = cst.thresholds(params, thresholds.S, thresholds.C_Nq)
+        grid = make_grid(grid.dim, t * grid.r_max, grid.n, grid.grading, grid.origin_blend)
+        init = resample(rep.final, grid)
 
 
 def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
@@ -312,13 +304,14 @@ class SubadditivityReport:
 
 def subadditivity_check(params: cst.ProblemParams, grid: RadialGrid, a1: float,
                         tol: float = 1e-8) -> SubadditivityReport:
-    """Compare m_a with m_a1 + m_(a-a1) by three independent solves."""
+    """Compare m_a with m_a1 + m_(a-a1) by three independent solves, each
+    through minimize_in_domain."""
     if not (0.0 < a1 < params.a):
         raise ValueError("a1 must lie strictly between 0 and a")
     m = {}
     for key, aa in (("a", params.a), ("a1", a1), ("rest", params.a - a1)):
         sub = params.with_mass(aa)
-        rep = minimize_local(sub, grid, tol=tol)
+        rep = minimize_in_domain(sub, grid, tol)
         if not rep.converged:
             raise RuntimeError(f"sub-run for mass {aa} did not converge "
                                f"(residual {rep.grad_residual:.2e})")

@@ -174,12 +174,13 @@ def _family_levels(params: cst.ProblemParams, grid: RadialGrid,
 
 
 def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
-                      family: MPFamilySpec | None = None,
-                      minimizer: minmod.SolveReport | None = None,
+                      family: MPFamilySpec | None = None, *,
+                      minimizer: minmod.SolveReport,
                       thresholds: cst.Thresholds | None = None) -> LevelEstimate:
-    """Best projected energy over the trial family; an upper bound for the
-    least energy on the positive Pohozaev branch, checked against the
-    strict window (0, m_a + S^(N/2)/N)."""
+    """Best projected energy over the trial family around `minimizer`, a
+    converged minimizer on `grid` (minimize_in_domain's, on its final.grid);
+    an upper bound for the least energy on the positive Pohozaev branch,
+    checked against the strict window (0, m_a + S^(N/2)/N)."""
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
@@ -187,10 +188,11 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     family = family or MPFamilySpec()
     if 2.0 * family.cutoff_radius > grid.r_max:
         raise ValueError("bubble cutoff support exceeds the grid")
-    if minimizer is None:
-        minimizer = minmod.minimize_local(params, grid, thresholds=thresholds)
-        if not minimizer.converged:
-            raise RuntimeError("background minimization did not converge")
+    if not minimizer.converged:
+        raise RuntimeError("local minimization did not converge "
+                           f"(residual {minimizer.grad_residual:.2e})")
+    if minimizer.final.grid is not grid:   # a wider grid has the same n
+        raise ValueError("the minimizer was solved on another grid")
     m_a = minimizer.energy
     N = params.dim
     upper = m_a + thresholds.S ** (N / 2.0) / N

@@ -105,15 +105,6 @@ def test_cpo_case1_command_defaults(capsys):
     assert doc["mass_used"] > 0.0
 
 
-def test_sweep_threaded_matches_serial(capsys, monkeypatch):
-    args = ["sweep", "--dim", "3", "--q", "2.5", "--mu-range", "0.9:1.1:2",
-            "--a-rel-range", "0.6:1.4:4"]
-    _, serial = run_cli(args, capsys)
-    monkeypatch.setenv("NLS_THREADS", "3")
-    _, threaded = run_cli(args, capsys)
-    assert serial == threaded
-
-
 def test_evolve_accepts_csv_init(tmp_path, capsys):
     import numpy as np
     rr = np.linspace(0.01, 29.9, 500)
@@ -200,7 +191,7 @@ def test_sweep_regime_flips_once_per_row(capsys):
 
 def test_sweep_dilates_outgrown_minimizer(capsys):
     # at r_max = 50 this minimizer is truncated by the domain (m_a = +0.033);
-    # the sweep solves at an exact dilation and finds the negative minimum
+    # the sweep solves again on a wider grid and finds the negative minimum
     code, out = run_cli(["sweep", "--dim", "3", "--q", "3.2",
                          "--mu-range", "0.546875:0.546875:1",
                          "--a-rel-range", "0.47265625:0.47265625:1", "--with-ma"],
@@ -240,8 +231,8 @@ def test_sweep_solves_each_column_once(capsys, monkeypatch):
 
 
 def test_sweep_solves_ground_state_once(capsys, monkeypatch):
-    # C_Nq is cached per (N, q): every mu of the sweep, and every dilation of
-    # its solves, reuses the one ground state
+    # C_Nq is cached per (N, q): every mu of the sweep, and every wider grid
+    # of its solves, reuses the one ground state
     calls = []
     solve = cli.profiles.weinstein_ground_state
 
@@ -260,7 +251,7 @@ def test_sweep_solves_ground_state_once(capsys, monkeypatch):
 
 def test_sweep_unconverged_solve_is_row_error(capsys, monkeypatch):
     def unconverged(params, g, tol, thr):
-        return params, thr, cli.minmod.SolveReport(
+        return cli.minmod.SolveReport(
             final=None, energy=-1.0, pohozaev=0.0, lam=-1.0, grad_residual=0.25,
             iterations=1, trace=[], boundary_hit=False, converged=False)
 
@@ -285,8 +276,10 @@ def test_sweep_empty_lattice_is_usage_error(capsys):
 @pytest.mark.parametrize("args, accepted, gap", [
     # the README point: the witness carries the family's level
     (["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"], True, (0.0, 1e-5)),
-    # 256 nodes do not resolve the rescaled witness: it sits 53 % above the level
-    (["--grid-n", "256", "--dim", "5", "--q", "2.4", "--a", "0.2"], False, (0.5, 0.6)),
+    # the minimizer's decay length 127 outgrows r_max 50, so it is solved on
+    # r_max ~ 255 with the same 256 nodes, which do not resolve the rescaled
+    # witness: its energy is 6.6 times the level
+    (["--grid-n", "256", "--dim", "5", "--q", "2.4", "--a", "0.2"], False, (5.1, 6.1)),
 ])
 def test_mountain_pass_diagnostics(args, accepted, gap, capsys):
     code, out = run_cli(["mountain-pass"] + args, capsys)
@@ -298,6 +291,32 @@ def test_mountain_pass_diagnostics(args, accepted, gap, capsys):
     assert diag["admitted"] == len(doc["family_trace"]) == 256 and diag["refused"] == 0
     assert diag["witness_level_gap"] == abs(doc["witness_energy"] - doc["level"]) / abs(doc["level"])
     assert gap[0] <= diag["witness_level_gap"] < gap[1]
+
+
+def test_every_command_reports_one_m_a(tmp_path, capsys):
+    # at r_max = 30 this minimizer is truncated by the domain (E = +0.035,
+    # lambda > 0): minimize, subadd, mountain-pass and sweep all solve it on
+    # one wider grid and report one negative m_a at the requested (mu, a)
+    point = ["--dim", "3", "--q", "3.2", "--mu", "1", "--a", "0.25a0"] + FAST
+    witness = tmp_path / "w.json"
+    docs = {}
+    for cmd, extra in (("minimize", []), ("subadd", []),
+                       ("mountain-pass", ["--witness-out", str(witness)])):
+        code, out = run_cli([cmd] + point + extra, capsys)
+        assert code == 0
+        docs[cmd] = json.loads(out)
+    code, out = run_cli(["sweep", "--dim", "3", "--q", "3.2", "--mu-range", "1:1:1",
+                         "--a-rel-range", "0.25:0.25:1", "--with-ma"] + FAST, capsys)
+    assert code == 0
+    mu, a, regime, m_a, level, error = out.strip().splitlines()[1].split(",")
+    assert (regime, error) == ("Omega1", "")
+    energy = docs["minimize"]["energy"]
+    assert energy < 0.0 and docs["minimize"]["lambda"] < 0.0
+    assert docs["subadd"]["m_a"] == docs["mountain-pass"]["m_a"] == float(m_a) == energy
+    r_max = docs["minimize"]["diagnostics"]["r_max"]
+    assert r_max > 30.0
+    assert docs["mountain-pass"]["diagnostics"]["r_max"] == r_max
+    assert json.loads(witness.read_text())["r_max"] == r_max
 
 
 @pytest.mark.parametrize("args", [

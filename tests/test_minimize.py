@@ -145,6 +145,28 @@ def test_descent_converges_where_lambda_is_small():
     assert rep.iterations < 200
 
 
+@pytest.mark.parametrize("dim, q, r", [(3, 3.2, 200.0), (5, 2.4, 50.0)])
+def test_wider_grid_is_the_dilated_problem(dim, q, r):
+    # the dilation u -> t^((N-2)/2) u(t x) maps (mu, a) to
+    # (mu t^(N - q(N-2)/2), a / t^2), keeps E and ||grad u||^2 and scales lambda
+    # by t^2; on make_grid(N, t r, n) and make_grid(N, r, n) it maps nodes to
+    # nodes, so the two discrete problems, and their minimizers, are the same
+    t, n = 4.0, 2048
+    params, thr = _point(dim, q)
+    dilated = nc.ProblemParams(dim, q, params.mu * t ** (dim - q * (dim - 2) / 2.0),
+                               params.a / t ** 2)
+    wide, narrow = nc.make_grid(dim, t * r, n), nc.make_grid(dim, r, n)
+    init = profiles.gaussian(params, 1.0, wide)
+    rep = mn.minimize_local(params, wide, init=init, thresholds=thr)
+    rep_d = mn.minimize_local(dilated, narrow,
+                              init=nc.Profile(narrow, t ** ((dim - 2) / 2.0) * init.values))
+    assert rep.converged and rep_d.converged
+    assert rep_d.energy == pytest.approx(rep.energy, rel=1e-10, abs=0.0)
+    assert nc.grad_l2_sq(narrow, rep_d.final) == pytest.approx(
+        nc.grad_l2_sq(wide, rep.final), rel=1e-10, abs=0.0)
+    assert rep_d.lam == pytest.approx(t * t * rep.lam, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("dim, q", [(3, 2.5), (5, 2.4)])
 @pytest.mark.parametrize("n", [8192, 16384, 32768])
 def test_converged_at_every_grid_size(dim, q, n):

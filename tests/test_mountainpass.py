@@ -84,6 +84,16 @@ def test_level_estimate_monotone_in_family(params_half, soliton_grid,
     assert mp_estimate_half.level <= est_small.level + 1e-12
 
 
+def test_level_estimate_needs_the_minimizer_grid(params_half, minimizer_half, thr_half):
+    # minimize_in_domain may solve on a wider grid with the same node count:
+    # the family must be built on the grid the minimizer was solved on
+    g = minimizer_half.final.grid
+    wider = nc.make_grid(g.dim, 2.0 * g.r_max, g.n)
+    with pytest.raises(ValueError, match="another grid"):
+        mp.estimate_mp_level(params_half, wider, minimizer=minimizer_half,
+                             thresholds=thr_half)
+
+
 def fiber_loop(params, grid, family, umin, thr):
     """The trial family one profile at a time through fiber_critical_points:
     (trace, refused (b, s), best trial profile)."""
@@ -123,7 +133,7 @@ def test_blocked_family_matches_fiber_loop(dim, q):
     thr = nc.thresholds(params)
     minimizer = mn.minimize_local(params, g, thresholds=thr)
     family = mp.MPFamilySpec()
-    est = mp.estimate_mp_level(params, g, family, minimizer, thr)
+    est = mp.estimate_mp_level(params, g, family, minimizer=minimizer, thresholds=thr)
     trace, refused, w = fiber_loop(params, g, family, minimizer.final.values, thr)
     assert not refused
     assert_same_trace(est.family_trace, trace)
