@@ -218,13 +218,14 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
     family = mp.MPFamilySpec()
     est = mp.estimate_mp_level(params, g, family, minimizer=rep, thresholds=thr)
     size = len(family.bubble_widths) * len(family.amplitudes)
-    witness_energy = fnl.energy(params, g, est.witness)
+    wg = est.witness.grid
+    witness_energy = fnl.energy(params, wg, est.witness)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "level": est.level, "m_a": est.m_a, "upper_bound": est.upper_bound,
         "accepted": est.accepted,
         "witness_energy": witness_energy,
-        "witness_pohozaev": fnl.pohozaev(params, g, est.witness),
+        "witness_pohozaev": fnl.pohozaev(params, wg, est.witness),
         "family_trace": _downsample(est.family_trace),
         "diagnostics": {
             "family_size": size, "admitted": len(est.family_trace),

@@ -60,6 +60,10 @@ class FiberNorms:
 
 
 def fiber_norms(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> FiberNorms:
+    """The norms of u on `grid`, which must be u's own grid: another grid
+    with the same n would give wrong norms without any error."""
+    if u.grid is not grid:
+        raise ValueError("the profile lives on another grid")
     return FiberNorms(grad2=grad_l2_sq(grid, u),
                       crit=lq_norm_pow(grid, u, params.ex.two_star),
                       sub=lq_norm_pow(grid, u, params.q),

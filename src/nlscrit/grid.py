@@ -347,30 +347,21 @@ def _interpolator(u: Profile) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
-def dilation(u: Profile) -> Callable[[float], Profile]:
-    """tau -> rescale(u, tau), building u's interpolant at most once, for
-    callers that dilate one profile by many tau."""
-    grid, f = u.grid, None
-
-    def at(tau: float) -> Profile:
-        nonlocal f
-        if tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        if tau == 1.0:
-            return Profile(grid, u.values.copy())
-        if f is None:
-            f = _interpolator(u)
-        return Profile(grid, tau ** (grid.dim / 2.0) * f(tau * grid.nodes))
-    return at
-
-
 def rescale(u: Profile, tau: float) -> Profile:
-    """Mass-preserving dilation u_tau(r) = tau^(N/2) u(tau r) on the same grid.
+    """Mass-preserving dilation u_tau(r) = tau^(N/2) u(tau r), resampled
+    onto u's own grid by monotone cubic interpolation.
 
     Values requested beyond r_max are 0.  Exact identities, up to
     interpolation error: ||u_tau||_2 = ||u||_2, grad_l2_sq scales by tau^2,
-    int |u_tau|^t scales by tau^(t gamma_t)."""
-    return dilation(u)(tau)
+    int |u_tau|^t scales by tau^(t gamma_t).  They hold to rounding, with no
+    interpolation, for tau^(N/2) u on make_grid at r_max / tau (the same n,
+    grading and origin blend), whose nodes are u's nodes divided by tau."""
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    grid = u.grid
+    if tau == 1.0:
+        return Profile(grid, u.values.copy())
+    return Profile(grid, tau ** (grid.dim / 2.0) * _interpolator(u)(tau * grid.nodes))
 
 
 def resample(u: Profile, grid: RadialGrid) -> Profile:

@@ -13,7 +13,7 @@ means the same thing at every n.
 First, projected descent: the weighted-L^2 gradient F/W, preconditioned by
 (A + alpha W)^-1 and projected onto the tangent space of the mass sphere,
 with an Armijo test after exact renormalization of the mass.  The shift
-follows the iterate, alpha = clip(-lambda, 1e-8, 1), so that the
+follows the iterate, alpha = max(-lambda, 1e-8), so that the
 preconditioner is the linear part A - lambda W of the Hessian
 A - W (N'(u) + lambda) (X. Antoine, A. Levitt & Q. Tang, J. Comput. Phys.
 343, 2017) and the descent takes tens of iterations whatever lambda is; a
@@ -47,7 +47,7 @@ NEWTON_MAX = 80
 STEP0 = 0.5
 STEP_MAX = 4.0
 ARMIJO = 1e-4
-SHIFT_MIN = 1e-8          # the preconditioner's shift is clip(-lambda, SHIFT_MIN, 1)
+SHIFT_MIN = 1e-8          # the preconditioner's shift is max(-lambda, SHIFT_MIN)
 BALL_MARGIN = 0.9         # the initial profile is dilated below this * rho0
 
 
@@ -190,7 +190,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         if (res < tol * max(1.0, abs(E)) or (E < 0.0 and res < NEWTON_SWITCH * nm.grad2)
                 or flat == 8):
             break
-        shift = min(max(-lam, SHIFT_MIN), 1.0)
+        shift = max(-lam, SHIFT_MIN)
         d = tridiag_solve(off, diag + shift * W, F)
         d -= (float(np.dot(W, u * d)) / a) * u
         dd = float(np.dot(F, d))

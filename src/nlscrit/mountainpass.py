@@ -30,8 +30,7 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import (Profile, RadialGrid, dilation, grad_l2_sq, lq_norm_pow, mass,
-                   rescale)
+from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, make_grid, mass
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
@@ -45,42 +44,26 @@ MP_BLOCK = 16   # trial amplitudes per block of the mountain-pass family
 def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
                               u: Profile,
                               thresholds: cst.Thresholds | None = None) -> Profile:
-    """Return u at its fiber maximum, renormalized to mass a, with the
-    Pohozaev value of the *resampled* profile re-zeroed by a local root
-    find (dilation resampling perturbs P away from the norm-algebra root).
-    """
+    """Return u_{tau_minus}, u at its fiber maximum, exactly: the values
+    tau_minus^(N/2) u, renormalized to mass a, on the grid whose nodes are
+    u's nodes divided by tau_minus (r_max / tau_minus, same n, grading and
+    origin blend).  Norms on that grid scale as the fiber map's, so the
+    profile's energy is psi(tau_minus) and its Pohozaev value is 0, both up
+    to rounding; nothing is interpolated."""
     rep = fnl.fiber_critical_points(params, grid, u, thresholds=thresholds)
     if rep.tau_minus is None:
         raise fnl.RegimeError(
             "no admissible projection: the fiber map is strictly decreasing")
-    a = params.a
-    dilate = dilation(u)
-
-    def renorm(p: Profile) -> Profile:
-        return Profile(grid, p.values * math.sqrt(a / mass(grid, p)))
-
-    def p_of(tau: float) -> float:
-        return fnl.pohozaev(params, grid, renorm(dilate(tau)))
-
-    t0 = rep.tau_minus
-    lo, hi = 0.97 * t0, 1.03 * t0
-    plo, phi_ = p_of(lo), p_of(hi)
-    k = 0
-    while plo * phi_ > 0.0 and k < 12:
-        lo *= 0.9
-        hi *= 1.1
-        plo, phi_ = p_of(lo), p_of(hi)
-        k += 1
-    if plo * phi_ > 0.0:
-        raise RuntimeError("could not re-bracket the Pohozaev root after resampling")
-    tau = fnl.brentq(p_of, lo, hi)
-    w = renorm(dilate(tau))
-    pw = fnl.pohozaev(params, grid, w)
-    g2 = grad_l2_sq(grid, w)
+    tau = rep.tau_minus
+    g = make_grid(grid.dim, grid.r_max / tau, grid.n, grid.grading, grid.origin_blend)
+    vals = tau ** (grid.dim / 2.0) * u.values
+    w = Profile(g, vals * math.sqrt(params.a / mass(g, vals)))
+    pw = fnl.pohozaev(params, g, w)
+    g2 = grad_l2_sq(g, w)
     if abs(pw) > P_RTOL * g2:
         raise RuntimeError(f"projection quality |P| = {abs(pw):.2e} exceeds "
                            f"{P_RTOL:.0e} * ||grad||^2 = {P_RTOL * g2:.2e}")
-    if fnl.energy(params, grid, w) <= 0.0:
+    if fnl.energy(params, g, w) <= 0.0:
         raise RuntimeError("projected profile has nonpositive energy; "
                            "it does not belong to the positive branch")
     return w
@@ -101,6 +84,11 @@ class MPFamilySpec:
 
 @dataclass
 class LevelEstimate:
+    """The family's best projected energy `level` and its `witness`, the
+    best trial's exact u_{tau_minus} (project_to_pohozaev_minus), which
+    lives on its own grid, witness.grid (r_max / tau_minus), and has energy
+    `level` up to rounding there."""
+
     level: float
     witness: Profile
     m_a: float
@@ -461,11 +449,9 @@ def omega2_positivity_probe(params: cst.ProblemParams, grid: RadialGrid,
     diags.sort(key=lambda t: t[0])
     low = []
     for lev, tau, p in diags[:5]:
-        w = Profile(grid, p.values)
-        w = rescale(w, tau)
-        w = Profile(grid, w.values * math.sqrt(params.a / mass(grid, w)))
-        g2 = grad_l2_sq(grid, w)
-        hq = lq_norm_pow(grid, w, params.q)
+        # the norms of p_tau, from the fiber algebra of p's own norms
+        g2 = tau ** 2 * grad_l2_sq(grid, p)
+        hq = tau ** params.ex.q_gamma_q * lq_norm_pow(grid, p, params.q)
         gn_ratio = hq ** (1.0 / params.q) / (
             thresholds.C_Nq * g2 ** (gam / 2.0) * params.a ** ((1.0 - gam) / 2.0))
         low.append({"level": lev, "grad_l2_sq": g2,

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -8,6 +9,9 @@ import sys
 import pytest
 
 from nlscrit import cli
+from nlscrit import constants as cst
+from nlscrit import functionals as fnl
+from nlscrit import grid as gridmod
 
 
 def run_cli(args, capsys):
@@ -81,6 +85,17 @@ def test_minimize_command(capsys):
     assert doc["converged"] is True
     assert doc["energy"] < 0.0 and doc["lambda"] < 0.0
     assert len(doc["trace"]) <= 256
+
+
+def test_minimize_descent_shift_follows_lambda(capsys):
+    # -lambda is far above 1 here: a shift capped at 1 ran the descent to
+    # its 20000-iteration cap
+    code, out = run_cli(["minimize", "--dim", "3", "--q", "2.5", "--mu", "1e4",
+                         "--a", "0.5a0", "--grid-n", "512"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True and doc["lambda"] < -1.0
+    assert doc["iterations"] < 100
 
 
 def test_cpo_case2_command(capsys):
@@ -273,15 +288,14 @@ def test_sweep_empty_lattice_is_usage_error(capsys):
     assert doc["error_kind"] == "usage" and "--a-rel-range" in doc["message"]
 
 
-@pytest.mark.parametrize("args, accepted, gap", [
-    # the README point: the witness carries the family's level
-    (["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"], True, (0.0, 1e-5)),
+@pytest.mark.parametrize("args, accepted", [
+    (["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"], True),
     # the minimizer's decay length 127 outgrows r_max 50, so it is solved on
-    # r_max ~ 255 with the same 256 nodes, which do not resolve the rescaled
-    # witness: its energy is 6.6 times the level
-    (["--grid-n", "256", "--dim", "5", "--q", "2.4", "--a", "0.2"], False, (5.1, 6.1)),
+    # r_max ~ 255 with the same 256 nodes: the level is not accepted, but the
+    # witness, exact on its own grid, still carries it
+    (["--grid-n", "256", "--dim", "5", "--q", "2.4", "--a", "0.2"], False),
 ])
-def test_mountain_pass_diagnostics(args, accepted, gap, capsys):
+def test_mountain_pass_diagnostics(args, accepted, capsys):
     code, out = run_cli(["mountain-pass"] + args, capsys)
     assert code == 0
     doc = json.loads(out)
@@ -290,7 +304,7 @@ def test_mountain_pass_diagnostics(args, accepted, gap, capsys):
     assert diag["family_size"] == 256
     assert diag["admitted"] == len(doc["family_trace"]) == 256 and diag["refused"] == 0
     assert diag["witness_level_gap"] == abs(doc["witness_energy"] - doc["level"]) / abs(doc["level"])
-    assert gap[0] <= diag["witness_level_gap"] < gap[1]
+    assert diag["witness_level_gap"] < 1e-12
 
 
 def test_every_command_reports_one_m_a(tmp_path, capsys):
@@ -316,7 +330,28 @@ def test_every_command_reports_one_m_a(tmp_path, capsys):
     r_max = docs["minimize"]["diagnostics"]["r_max"]
     assert r_max > 30.0
     assert docs["mountain-pass"]["diagnostics"]["r_max"] == r_max
-    assert json.loads(witness.read_text())["r_max"] == r_max
+    # the witness file holds u_{tau_minus} on its own grid, at the level
+    w = gridmod.load_profile(str(witness))
+    q, q_exact = cst.parse_q("3.2")
+    params = cst.ProblemParams(3, q, 1.0, gridmod.mass(w.grid, w), q_exact)
+    assert fnl.energy(params, w.grid, w) == pytest.approx(docs["mountain-pass"]["level"],
+                                                          rel=1e-12)
+
+
+def test_witness_out_round_trip(tmp_path, capsys):
+    # the witness file is u_{tau_minus} itself: `fiber` finds it at its own
+    # fiber maximum, at the level
+    point = ["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"]
+    witness = tmp_path / "w.json"
+    code, out = run_cli(["mountain-pass", "--grid-n", "2048", "--witness-out", str(witness)]
+                        + point, capsys)
+    assert code == 0
+    level = json.loads(out)["level"]
+    code, out = run_cli(["fiber", "--profile", str(witness)] + point, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tau_minus"] == pytest.approx(1.0, rel=0.0, abs=1e-9)
+    assert doc["e_at_tau_minus"] == pytest.approx(level, rel=1e-12)
 
 
 @pytest.mark.parametrize("args", [
@@ -450,6 +485,26 @@ def test_readme_examples_parse():
     for text in examples:
         argv = shlex.split(text)[1:]
         assert parser.parse_args(argv).func.__name__.startswith("_cmd_")
+
+
+def test_readme_examples_are_the_benchmark_commands():
+    # the benchmark's cold-CLI workload keeps its own copy of README's CLI
+    # example block: the same argv in the same order
+    root = pathlib.Path(__file__).parents[1]
+    readme, cmd = [], ""
+    for line in (root / "README.md").read_text().splitlines():
+        if cmd or line.startswith("    nlscrit "):
+            cmd += " " + line.strip().rstrip("\\")
+            if not line.endswith("\\"):
+                readme.append(shlex.split(cmd)[1:])
+                cmd = ""
+        elif readme and not line.strip():
+            break    # the end of the block
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text())
+    copy = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["README"])
+    assert readme == [shlex.split(args) for _, args in copy]
 
 
 def test_cold_import_skips_scipy_optimize():

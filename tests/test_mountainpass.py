@@ -26,12 +26,12 @@ def test_projection_contracts(params_half, soliton_grid, thr_half):
     u = profiles.gaussian(params_half, 1.0, soliton_grid)
     w = mp.project_to_pohozaev_minus(params_half, soliton_grid, u,
                                      thresholds=thr_half)
-    g2 = nc.grad_l2_sq(soliton_grid, w)
-    assert abs(fnl.pohozaev(params_half, soliton_grid, w)) < 1e-6 * g2
-    assert fnl.energy(params_half, soliton_grid, w) > 0.0
-    assert nc.mass(soliton_grid, w) == pytest.approx(params_half.a, rel=1e-6)
+    g2 = nc.grad_l2_sq(w.grid, w)
+    assert abs(fnl.pohozaev(params_half, w.grid, w)) < 1e-6 * g2
+    assert fnl.energy(params_half, w.grid, w) > 0.0
+    assert nc.mass(w.grid, w) == pytest.approx(params_half.a, rel=1e-6)
     # idempotence: the projected profile is its own fiber maximum
-    rep = fnl.fiber_critical_points(params_half, soliton_grid, w,
+    rep = fnl.fiber_critical_points(params_half, w.grid, w,
                                     thresholds=thr_half)
     assert rep.tau_minus == pytest.approx(1.0, rel=1e-3)
 
@@ -60,14 +60,21 @@ def check_level_estimate(est):
     assert est.level == pytest.approx(min(lev for _, lev in est.family_trace))
 
 
-def test_level_estimate_omega1(mp_estimate_half, params_half, soliton_grid):
+def test_level_estimate_omega1(mp_estimate_half, params_half):
     est = mp_estimate_half
     check_level_estimate(est)
-    g2 = nc.grad_l2_sq(soliton_grid, est.witness)
-    assert abs(fnl.pohozaev(params_half, soliton_grid, est.witness)) < 1e-6 * g2
-    assert nc.mass(soliton_grid, est.witness) == pytest.approx(params_half.a, rel=1e-6)
-    assert fnl.energy(params_half, soliton_grid, est.witness) == pytest.approx(
-        est.level, rel=1e-4)
+    w = est.witness
+    g2 = nc.grad_l2_sq(w.grid, w)
+    assert abs(fnl.pohozaev(params_half, w.grid, w)) < 1e-6 * g2
+    assert nc.mass(w.grid, w) == pytest.approx(params_half.a, rel=1e-6)
+    assert fnl.energy(params_half, w.grid, w) == pytest.approx(est.level, rel=1e-12)
+
+
+def test_witness_refused_on_the_solve_grid(mp_estimate_half, params_half, minimizer_half):
+    # the witness lives on its own grid; the solve grid has the same n, so
+    # without the check its norms would be wrong without any error
+    with pytest.raises(ValueError, match="another grid"):
+        fnl.energy(params_half, minimizer_half.final.grid, mp_estimate_half.witness)
 
 
 def test_level_estimate_omega2(mp_estimate_at):
