@@ -434,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem(p)
     _add_grid(p)
     p.add_argument("--kind", choices=("weinstein", "bubble", "gaussian"), required=True)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--b", type=_finite("--b", positive=True), default=1.0)
+    p.add_argument("--sigma", type=_finite("--sigma", positive=True), default=1.0)
     p.set_defaults(func=_cmd_profile)
 
     p = add("fiber", help="fiber-map critical points of a stored profile")

@@ -18,14 +18,16 @@ oscillations are invisible to them.
 from __future__ import annotations
 
 import csv
-import functools
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from math import comb, gamma, isfinite, pi
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 
 def surface_area(dim: int) -> float:
@@ -135,10 +137,44 @@ class RadialGrid:
         return float(np.real(np.vdot(u, self.stiffness_apply(u))))
 
 
-@functools.lru_cache(maxsize=None)
-def _gtsv(*dtypes: np.dtype):
-    """LAPACK gtsv of the precision scipy picks for arrays of these dtypes."""
-    return get_lapack_funcs(("gtsv",), tuple(np.empty(0, t) for t in dtypes))[0]
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file without
+    importing the scipy or scipy.linalg packages, whose import (numpy.f2py
+    among it) costs more than most commands.  The module is registered under
+    its own name, so a later `import scipy.linalg` shares this copy.
+
+    Assumes the layout of scipy 1.17.1: the extension `_flapack` sits in
+    the package directory scipy/linalg.  ImportError when it does not."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"{_FLAPACK} not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _lapack_gtsv():
+    """(dgtsv, zgtsv); through scipy.linalg's public lookup on a scipy whose
+    layout `_load_flapack` does not know."""
+    try:
+        flapack = _load_flapack()
+        return flapack.dgtsv, flapack.zgtsv
+    except (ImportError, OSError):
+        from scipy.linalg import get_lapack_funcs
+        return (get_lapack_funcs("gtsv", dtype=np.float64),
+                get_lapack_funcs("gtsv", dtype=np.complex128))
+
+
+_DGTSV, _ZGTSV = _lapack_gtsv()
+_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 
 def _all_finite(*arrays: np.ndarray) -> bool:
@@ -152,10 +188,16 @@ def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndar
     """Solve T x = rhs for the symmetric tridiagonal T with diagonal `diag`
     and both off-diagonals `off`, by LAPACK gtsv; rhs may hold several
     columns.  Same routine and contract as scipy's (1, 1)-banded solver:
-    ValueError on non-finite input, LinAlgError when T is singular."""
+    ValueError on non-finite input, LinAlgError when T is singular.  The
+    arrays are float64 or complex128 (zgtsv if any is complex): TypeError
+    on any other dtype, so no input drops to single precision."""
+    dtypes = {off.dtype, diag.dtype, rhs.dtype}
+    if not dtypes <= {_F64, _C128}:
+        raise TypeError("tridiag_solve takes float64 or complex128 arrays, got "
+                        + ", ".join(sorted(map(str, dtypes))))
     if not _all_finite(off, diag, rhs):
         raise ValueError("tridiagonal system must not contain infs or NaNs")
-    *_, x, info = _gtsv(off.dtype, diag.dtype, rhs.dtype)(off, diag, off, rhs)
+    *_, x, info = (_ZGTSV if _C128 in dtypes else _DGTSV)(off, diag, off, rhs)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:

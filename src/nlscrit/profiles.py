@@ -138,9 +138,14 @@ def gaussian(params, sigma: float, grid: RadialGrid) -> Profile:
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     N = grid.dim
-    c = math.sqrt(params.a) / (sigma ** (N / 2.0) * math.pi ** (N / 4.0))
-    with np.errstate(under="ignore"):
-        vals = c * np.exp(-grid.nodes ** 2 / (2.0 * sigma ** 2))
+    s = np.float64(sigma)
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        c = math.sqrt(params.a) / (s ** (N / 2.0) * math.pi ** (N / 4.0))
+        two_var = 2.0 * s ** 2
+        if not (0.0 < c < math.inf and 0.0 < two_var < math.inf):
+            raise ValueError(f"sigma = {sigma!r} has no finite normalization in dimension "
+                             f"{N}: sigma^(N/2) or sigma^2 leaves the floating-point range")
+        vals = c * np.exp(-grid.nodes ** 2 / two_var)
     return Profile(grid, vals)
 
 

@@ -457,6 +457,23 @@ def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     assert doc["error_kind"] and doc["context"] == {"command": args[0]}
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "bubble", "--b", "inf"], "--b must be positive and finite"),
+    (["--kind", "bubble", "--b", "0"], "--b must be positive and finite"),
+    (["--kind", "gaussian", "--sigma", "nan"], "--sigma must be positive and finite"),
+    # sigma^(N/2) or sigma^2 underflows or overflows: no gaussian of mass a
+    (["--kind", "gaussian", "--sigma", "1e-300"], "no finite normalization"),
+    (["--kind", "gaussian", "--sigma", "1e-200"], "no finite normalization"),
+    (["--kind", "gaussian", "--sigma", "1e300"], "no finite normalization"),
+])
+@pytest.mark.filterwarnings("error")
+def test_profile_rejects_degenerate_scales(args, message, capsys):
+    code = cli.main(["profile", "--a", "1.0", "--grid-n", "64"] + args)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert message in json.loads(out)["message"]
+
+
 @pytest.mark.parametrize("args", [
     ["constants", "--grid-n", "1024"],
     ["mountain-pass", "--tol", "1e-6"],
@@ -507,12 +524,14 @@ def test_readme_examples_are_the_benchmark_commands():
     assert readme == [shlex.split(args) for _, args in copy]
 
 
-def test_cold_import_skips_scipy_optimize():
+def test_cold_import_skips_scipy_packages():
+    # only the compiled LAPACK wrappers scipy.linalg._flapack are loaded
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     code = ("import nlscrit.cli, sys; "
-            "print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])")
+            "print([m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg', "
+            "'numpy.f2py') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -120,6 +120,9 @@ def argvs(draw):
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
 @hypothesis.given(argv=argvs())
+# found by hand, though FLOATS holds both values: the derandomized draw missed them
+@hypothesis.example(argv=["profile", "--grid-n", "64", "--kind", "bubble", "--b", "inf"])
+@hypothesis.example(argv=["profile", "--grid-n", "64", "--kind", "gaussian", "--sigma", "1e-300"])
 def test_cli_contract_is_total(inputs, argv):
     argv = [inputs.get(a, a) if prev in ("--profile", "--init") else a
             for prev, a in zip([None] + argv, argv)]

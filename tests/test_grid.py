@@ -1,5 +1,11 @@
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
 import nlscrit as nc
+from nlscrit import grid as grid_mod
 from nlscrit.grid import (pchip, lq_norm_pow, profile_from_dict, profile_to_dict,
                           tridiag_solve)
 
@@ -140,7 +147,8 @@ def test_stiffness_apply_and_quad_match_dense():
         assert g.stiffness_quad(u) == pytest.approx(nc.grad_l2_sq(g, u), rel=1e-13)
 
 
-def test_tridiag_solve_matches_dense():
+def tridiag_systems():
+    """(off, diag, dense matrix, rhs): real and complex, one and two columns."""
     g = nc.make_grid(3, 10.0, 64)
     d, off = g.stiffness_bands()
     W = g.full_weights
@@ -150,13 +158,61 @@ def test_tridiag_solve_matches_dense():
     idt2 = 0.5j * 1e-2
     ups = 3.0 * u
     cayley = np.diag(W) + idt2 * (A - np.diag(W * ups))
-    systems = [(off, W + d, np.diag(W) + A, W * u),
-               (idt2 * off, W + idt2 * (d - W * ups), cayley, W * u + 0.5j * u),
-               (off, d - W * u, A - np.diag(W * u), np.column_stack([u, W * u]))]
-    for o, diag, dense, rhs in systems:
+    return [(off, W + d, np.diag(W) + A, W * u),
+            (idt2 * off, W + idt2 * (d - W * ups), cayley, W * u + 0.5j * u),
+            (off, d - W * u, A - np.diag(W * u), np.column_stack([u, W * u]))]
+
+
+def test_tridiag_solve_matches_dense():
+    for o, diag, dense, rhs in tridiag_systems():
         x = tridiag_solve(o, diag, rhs)
         assert x.shape == rhs.shape
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=0)
+
+
+def test_flapack_is_the_module_scipy_imports():
+    # a fresh process, so that nlscrit loads the module before scipy.linalg does
+    code = ("import sys; from nlscrit import grid; held = sys.modules['scipy.linalg._flapack']; "
+            "from scipy.linalg import _flapack, get_lapack_funcs; "
+            "print(_flapack is held, grid._DGTSV is held.dgtsv, grid._ZGTSV is held.zgtsv, "
+            "get_lapack_funcs('gtsv', dtype='float64') is grid._DGTSV)")
+    src = str(pathlib.Path(grid_mod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["True"] * 4
+
+
+@pytest.mark.parametrize("failure", ["not found", "does not load"])
+def test_gtsv_fallback_gives_the_same_x(failure, monkeypatch):
+    expected = [tridiag_solve(o, diag, rhs) for o, diag, _, rhs in tridiag_systems()]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    if failure == "not found":
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            lambda *args, **kwargs: None)
+    else:
+        def broken(spec):
+            raise OSError(f"cannot load {spec.origin}")
+        monkeypatch.setattr(importlib.util, "module_from_spec", broken)
+    with pytest.raises((ImportError, OSError)):
+        grid_mod._load_flapack()
+    dgtsv, zgtsv = grid_mod._lapack_gtsv()
+    monkeypatch.undo()
+    monkeypatch.setattr(grid_mod, "_DGTSV", dgtsv)
+    monkeypatch.setattr(grid_mod, "_ZGTSV", zgtsv)
+    for (o, diag, _, rhs), x in zip(tridiag_systems(), expected):
+        assert np.array_equal(tridiag_solve(o, diag, rhs), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+def test_tridiag_solve_rejects_other_dtypes(dtype):
+    n = 8
+    off, diag, rhs = np.ones(n - 1), np.full(n, 4.0), np.ones(n)
+    for i in range(3):
+        args = [off, diag, rhs]
+        args[i] = args[i].astype(dtype)
+        with pytest.raises(TypeError):
+            tridiag_solve(*args)
 
 
 def test_tridiag_solve_rejects_nonfinite_and_singular():
