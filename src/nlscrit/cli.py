@@ -174,7 +174,6 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
     # place the loaded profile on the mass sphere before analysis
     u = gridmod.Profile(g, u.values * math.sqrt(params.a / gridmod.mass(g, u)))
     rep = fnl.fiber_critical_points(params, g, u)
-    nm = fnl.fiber_norms(params, g, u)
     taus = np.logspace(-6.0, 6.0, fnl.FIBER_SAMPLES)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -182,8 +181,8 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
         "e_at_tau_plus": rep.e_at_tau_plus, "e_at_tau_minus": rep.e_at_tau_minus,
         "psi_second_at_tau_minus": rep.psi_second_at_tau_minus,
         "strictly_decreasing": rep.strictly_decreasing,
-        "samples": np.column_stack([taus, fnl.psi_value(params, nm, taus),
-                                    fnl.phi_value(params, nm, taus)]),
+        "samples": np.column_stack([taus, fnl.psi_value(params, rep.norms, taus),
+                                    fnl.phi_value(params, rep.norms, taus)]),
     }
 
 
@@ -218,14 +217,14 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
     family = mp.MPFamilySpec()
     est = mp.estimate_mp_level(params, g, family, minimizer=rep, thresholds=thr)
     size = len(family.bubble_widths) * len(family.amplitudes)
-    wg = est.witness.grid
-    witness_energy = fnl.energy(params, wg, est.witness)
+    wn = fnl.fiber_norms(params, est.witness.grid, est.witness)
+    witness_energy = wn.energy(params)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "level": est.level, "m_a": est.m_a, "upper_bound": est.upper_bound,
         "accepted": est.accepted,
         "witness_energy": witness_energy,
-        "witness_pohozaev": fnl.pohozaev(params, wg, est.witness),
+        "witness_pohozaev": wn.pohozaev(params),
         "family_trace": _downsample(est.family_trace),
         "diagnostics": {
             "family_size": size, "admitted": len(est.family_trace),
@@ -249,6 +248,11 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
 def _cmd_cpo(args: argparse.Namespace) -> dict:
     if args.steps is not None and args.steps < 1:
         raise DomainError("usage", "--steps must be at least 1")
+    if args.case == 1 and (args.a is not None or args.mass_multiple is not None):
+        raise DomainError("usage", "--case 1 builds its own mass from mu: "
+                                   "--a and --mass-multiple do not apply")
+    if args.a is None:
+        args.a = "1.0"
     params = _resolve_mass(args)
     g = _make_grid(args)
     if args.case == 1:
@@ -475,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of offsets A_n")
     p.add_argument("--steps", type=int, default=None,
                    help="use the first k default sequence items")
-    # q = 2 + 4/N; case 1 rebuilds the mass
-    p.set_defaults(func=_cmd_cpo, q="auto", a="1.0")
+    # q = 2 + 4/N; case 1 builds the mass, case 2's defaults to 1
+    p.set_defaults(func=_cmd_cpo, q="auto", a=None)
 
     p = add("evolve", help="time evolution / stability / blow-up probes")
     _add_problem(p).help += ("; only the probes renormalize to it: a plain run "

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import grid as gridmod
+from . import profiles
 
 # relative tolerance for recognizing the mass-critical exponent q = 2 + 4/N
 # and for deciding membership of the borderline regime
@@ -150,8 +151,6 @@ def sobolev_constant(dim: int, b: float = 1.0) -> float:
     truncation is the remaining error source; SOBOLEV_R_MAX = 3e4 keeps it
     below 0.05% even for dim = 3 where the bubble tail decays slowest.
     """
-    from . import profiles
-
     if dim < 3:
         raise ValueError("dim must be >= 3")
     ts = 2.0 * dim / (dim - 2.0)
@@ -171,8 +170,6 @@ def sobolev_constant(dim: int, b: float = 1.0) -> float:
 
 @lru_cache(maxsize=64)
 def _gn_constant_cached(dim: int, q: float) -> float:
-    from . import profiles
-
     r_max = max(50.0, 72.0 / profiles.weinstein_decay_rate(dim, q))
     g = gridmod.make_grid(dim, r_max, GN_N, 0.0)
     Q = profiles.weinstein_ground_state(dim, q, g)

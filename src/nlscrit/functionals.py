@@ -175,6 +175,7 @@ class FiberReport:
     e_at_tau_minus: float | None
     psi_second_at_tau_minus: float | None
     strictly_decreasing: bool          # critical q, no root: psi < 0 and falling
+    norms: FiberNorms                  # of u, which psi and its roots depend on
 
 
 def _reduced(params, nm):
@@ -238,7 +239,7 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
         if excess <= 0.0:
             return FiberReport(tau_plus=None, tau_minus=None, e_at_tau_plus=None,
                                e_at_tau_minus=None, psi_second_at_tau_minus=None,
-                               strictly_decreasing=True)
+                               strictly_decreasing=True, norms=nm)
         tau_u = (excess / nm.crit) ** (1.0 / (ex.two_star - 2.0))
         # scan cross-check: phi / tau^2 changes sign exactly once, at tau_u
         taus = tau_u * np.logspace(-6.0, 6.0, FIBER_SAMPLES)
@@ -251,7 +252,7 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
         return FiberReport(tau_plus=None, tau_minus=tau_u, e_at_tau_plus=None,
                            e_at_tau_minus=psi_value(params, nm, tau_u),
                            psi_second_at_tau_minus=psi_second(params, nm, tau_u),
-                           strictly_decreasing=False)
+                           strictly_decreasing=False, norms=nm)
 
     if thresholds is None:
         thresholds = cst.thresholds(params)
@@ -266,4 +267,4 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
                        e_at_tau_plus=psi_value(params, nm, tau_p),
                        e_at_tau_minus=psi_value(params, nm, tau_m),
                        psi_second_at_tau_minus=psi_second(params, nm, tau_m),
-                       strictly_decreasing=False)
+                       strictly_decreasing=False, norms=nm)

@@ -272,7 +272,9 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
                   seed: int = 0,
                   thresholds: cst.Thresholds | None = None) -> float:
     """Minimum energy over random profiles dilated onto the kinetic sphere
-    ||grad u||^2 = rho0 (within 1e-6 relative), mass a."""
+    ||grad u||^2 = rho0, mass a: each profile's energy there is
+    psi(sqrt(rho0 / ||grad u||^2)) of its fiber map, the energy of its exact
+    dilation."""
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
@@ -281,16 +283,9 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
-        trial = profiles.random_trial(rng)
-        p = trial.profile(grid, params.a)
-        tau = math.sqrt(rho0 / grid.stiffness_quad(p.values))
-        for _ in range(12):
-            p = trial.profile(grid, params.a, tau=tau)
-            g2 = grid.stiffness_quad(p.values)
-            if abs(g2 / rho0 - 1.0) < 1e-7:
-                break
-            tau *= math.sqrt(rho0 / g2)
-        best = min(best, _norms(params, grid, p.values).energy(params))
+        p = profiles.random_trial(rng).profile(grid, params.a)
+        nm = fnl.fiber_norms(params, grid, p)
+        best = min(best, fnl.psi_value(params, nm, math.sqrt(rho0 / nm.grad2)))
     return best
 
 

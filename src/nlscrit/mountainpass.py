@@ -30,7 +30,7 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, make_grid, mass
+from .grid import Profile, RadialGrid, grad_l2_sq, make_grid, mass
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
@@ -58,12 +58,12 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
     g = make_grid(grid.dim, grid.r_max / tau, grid.n, grid.grading, grid.origin_blend)
     vals = tau ** (grid.dim / 2.0) * u.values
     w = Profile(g, vals * math.sqrt(params.a / mass(g, vals)))
-    pw = fnl.pohozaev(params, g, w)
-    g2 = grad_l2_sq(g, w)
-    if abs(pw) > P_RTOL * g2:
+    nm = fnl.fiber_norms(params, g, w)
+    pw = nm.pohozaev(params)
+    if abs(pw) > P_RTOL * nm.grad2:
         raise RuntimeError(f"projection quality |P| = {abs(pw):.2e} exceeds "
-                           f"{P_RTOL:.0e} * ||grad||^2 = {P_RTOL * g2:.2e}")
-    if fnl.energy(params, g, w) <= 0.0:
+                           f"{P_RTOL:.0e} * ||grad||^2 = {P_RTOL * nm.grad2:.2e}")
+    if nm.energy(params) <= 0.0:
         raise RuntimeError("projected profile has nonpositive energy; "
                            "it does not belong to the positive branch")
     return w
@@ -256,19 +256,17 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     ts, gam = params.ex.two_star, params.ex.gamma_q
 
     Q = profiles.weinstein_ground_state(N, q, grid)
-    mQ = mass(grid, Q)
-    g2Q = grad_l2_sq(grid, Q)
-    hQ = lq_norm_pow(grid, Q, q)
+    nQ = fnl.fiber_norms(params, grid, Q)
     # discrete sharp constant of this sampled maximizer
-    Cq_disc = hQ / (g2Q ** (q * gam / 2.0) * mQ ** (q * (1.0 - gam) / 2.0))
+    Cq_disc = nQ.sub / (nQ.grad2 ** (q * gam / 2.0) * nQ.mass ** (q * (1.0 - gam) / 2.0))
     # borderline mass: mu gamma C^q a^((q-2)/2) = 1
     a_used = (1.0 / (mu * gam * Cq_disc)) ** (2.0 / (q - 2.0))
 
-    t = math.sqrt(a_used / mQ)
+    t = math.sqrt(a_used / nQ.mass)
     u = t * Q.values
-    g2u = t * t * g2Q
-    hu = t ** q * hQ
-    su = t ** ts * lq_norm_pow(grid, Q, ts)
+    g2u = t * t * nQ.grad2
+    hu = t ** q * nQ.sub
+    su = t ** ts * nQ.crit
     baseline = g2u - mu * gam * hu          # ~1e-15 * g2u by construction
 
     W = grid.full_weights
@@ -382,18 +380,14 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
             raise RuntimeError(
                 f"could not bracket quotient {M_n:.6g}; family reaches only {reached:.6g}")
         s_root = fnl.brentq(objective, 0.0, s_hi)
-        vals = Q + s_root * bump
-        g2 = grad_l2_sq(grid, Profile(grid, vals))
-        m2 = float(np.dot(W, vals * vals))
-        hq = float(np.dot(W, np.abs(vals) ** q))
-        sq = float(np.dot(W, np.abs(vals) ** ts))
+        nm = fnl.fiber_norms(params, grid, Profile(grid, Q + s_root * bump))
         # exact norm algebra of v(x) = alpha u(beta x)
-        x = math.sqrt(m2) / (math.sqrt(a) * hq ** (1.0 / q))
-        alpha = x ** (N / 2.0) / hq ** (1.0 / q)
+        x = math.sqrt(nm.mass) / (math.sqrt(a) * nm.sub ** (1.0 / q))
+        alpha = x ** (N / 2.0) / nm.sub ** (1.0 / q)
         beta = x ** (q / 2.0)
-        g2_n = alpha ** 2 * beta ** (2.0 - N) * g2
-        hq_n = alpha ** q * beta ** (-N) * hq
-        sq_n = alpha ** ts * beta ** (-N) * sq
+        g2_n = alpha ** 2 * beta ** (2.0 - N) * nm.grad2
+        hq_n = alpha ** q * beta ** (-N) * nm.sub
+        sq_n = alpha ** ts * beta ** (-N) * nm.crit
         excess = g2_n - mu * gam * hq_n
         denom = sq_n ** (2.0 / ts)
         ratio = excess / denom
@@ -445,13 +439,13 @@ def omega2_positivity_probe(params: cst.ProblemParams, grid: RadialGrid,
         p = trial.profile(grid, params.a)
         rep = fnl.fiber_critical_points(params, grid, p, thresholds=thresholds)
         levels[i] = rep.e_at_tau_minus
-        diags.append((rep.e_at_tau_minus, rep.tau_minus, p))
+        diags.append((rep.e_at_tau_minus, rep.tau_minus, rep.norms))
     diags.sort(key=lambda t: t[0])
     low = []
-    for lev, tau, p in diags[:5]:
+    for lev, tau, nm in diags[:5]:
         # the norms of p_tau, from the fiber algebra of p's own norms
-        g2 = tau ** 2 * grad_l2_sq(grid, p)
-        hq = tau ** params.ex.q_gamma_q * lq_norm_pow(grid, p, params.q)
+        g2 = tau ** 2 * nm.grad2
+        hq = tau ** params.ex.q_gamma_q * nm.sub
         gn_ratio = hq ** (1.0 / params.q) / (
             thresholds.C_Nq * g2 ** (gam / 2.0) * params.a ** ((1.0 - gam) / 2.0))
         low.append({"level": lev, "grad_l2_sq": g2,

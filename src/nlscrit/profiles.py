@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Profile, RadialGrid, lq_norm_pow, mass, scaled_tridiag_solve,
+from .grid import (Profile, RadialGrid, lq_norm_pow, mass, rescale, scaled_tridiag_solve,
                    tridiag_solve)
 
 
@@ -103,6 +103,8 @@ def aubin_talenti(dim: int, b: float, grid: RadialGrid) -> Profile:
         raise ValueError("b must be positive")
     r = grid.nodes
     vals = (b / (b * b + r * r)) ** ((dim - 2.0) / 2.0)
+    if not vals.any():   # b * b overflows
+        raise ValueError(f"the bubble of b = {b!r} vanishes at every node of this grid")
     return Profile(grid, vals)
 
 
@@ -146,6 +148,9 @@ def gaussian(params, sigma: float, grid: RadialGrid) -> Profile:
             raise ValueError(f"sigma = {sigma!r} has no finite normalization in dimension "
                              f"{N}: sigma^(N/2) or sigma^2 leaves the floating-point range")
         vals = c * np.exp(-grid.nodes ** 2 / two_var)
+    if not vals.any():
+        raise ValueError(f"the gaussian of sigma = {sigma!r} vanishes at every node "
+                         "of this grid")
     return Profile(grid, vals)
 
 
@@ -156,9 +161,7 @@ def normalize_mass_lq(params, u: Profile, a: float | None = None) -> Profile:
     two normalizations can be met simultaneously while the Gagliardo-
     Nirenberg quotient of u is preserved.
     """
-    from . import constants
-
-    if not constants.is_critical(params):
+    if params.ex.q_class != "critical":
         raise ValueError("the joint mass/Lq normalization requires q = 2 + 4/N")
     if a is None:
         a = params.a
@@ -173,7 +176,6 @@ def normalize_mass_lq(params, u: Profile, a: float | None = None) -> Profile:
     beta = x ** (q / 2.0)
     if abs(beta - 1.0) < 1e-12:      # already normalized: no resampling noise
         return Profile(g, alpha * u.values)
-    from .grid import rescale
     # alpha u(beta r) = (alpha / beta^(N/2)) * [beta^(N/2) u(beta r)]
     scaled = rescale(u, beta)
     return Profile(g, (alpha / beta ** (N / 2.0)) * scaled.values)
@@ -184,8 +186,7 @@ def normalize_mass_lq(params, u: Profile, a: float | None = None) -> Profile:
 
 @dataclass(frozen=True)
 class TrialFunction:
-    """Gaussian with a low-order polynomial modulation; closed form, so it
-    can be dilated exactly before sampling."""
+    """Gaussian with a low-order polynomial modulation, in closed form."""
 
     sigma: float
     coeffs: tuple[float, float, float]
@@ -197,10 +198,9 @@ class TrialFunction:
         with np.errstate(under="ignore"):
             return p * np.exp(-0.5 * t * t)
 
-    def profile(self, grid: RadialGrid, target_mass: float, tau: float = 1.0) -> Profile:
-        """Sample the tau-dilation tau^(N/2) f(tau r), renormalized to the
-        requested mass on the grid."""
-        vals = tau ** (grid.dim / 2.0) * self(tau * grid.nodes)
+    def profile(self, grid: RadialGrid, target_mass: float) -> Profile:
+        """Sample f on the grid, renormalized to the requested mass."""
+        vals = self(grid.nodes)
         m = float(np.dot(grid.full_weights, vals * vals))
         return Profile(grid, vals * math.sqrt(target_mass / m))
 

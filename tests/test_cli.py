@@ -120,6 +120,35 @@ def test_cpo_case1_command_defaults(capsys):
     assert doc["mass_used"] > 0.0
 
 
+@pytest.mark.parametrize("flag", [["--a", "7"], ["--mass-multiple", "5"]])
+def test_cpo_case1_rejects_mass_flags(flag, capsys):
+    # case 1 builds its borderline mass from mu, so a mass flag would do nothing
+    code = cli.main(["cpo", "--case", "1", "--dim", "4", "--q", "3", "--mu", "1",
+                     "--n-values", "3", "--grid-n", "256", "--r-max", "60"] + flag)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["error_kind"] == "usage" and "--case 1" in doc["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dim", "5", "--mu", "1e8", "--grid-n", "32", "--r-max", "1e4"],
+     "ground-state iteration failed"),
+    (["--dim", "3", "--grid-n", "64", "--r-max", "30", "--n-values", "0"],
+     "cutoff radii must be positive and finite"),
+    (["--dim", "4", "--q", "3", "--grid-n", "256", "--r-max", "60", "--n-values", "nan"],
+     "cutoff radii must be positive and finite"),
+    (["--dim", "6", "--mu", "1e-8", "--grid-n", "64", "--r-max", "1e-3",
+      "--n-values", "1e-300"], "leaves nothing of the profile"),
+])
+@pytest.mark.filterwarnings("error")
+def test_cpo_case1_domain_errors(args, message, capsys):
+    code = cli.main(["cpo", "--case", "1"] + args)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert message in json.loads(out)["message"]
+
+
 def test_evolve_accepts_csv_init(tmp_path, capsys):
     import numpy as np
     rr = np.linspace(0.01, 29.9, 500)
@@ -354,6 +383,41 @@ def test_witness_out_round_trip(tmp_path, capsys):
     assert doc["e_at_tau_minus"] == pytest.approx(level, rel=1e-12)
 
 
+def test_mountain_pass_trace_csv(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, out = run_cli(["mountain-pass", "--dim", "3", "--q", "2.5", "--mu", "1",
+                         "--a", "0.5a0", "--grid-n", "2048", "--trace-csv", str(trace)],
+                        capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["trace_path"] == str(trace)
+    header, *rows = trace.read_text().splitlines()
+    assert header == "bubble_width,amplitude,projected_energy"
+    rows = [[float(x) for x in row.split(",")] for row in rows]
+    assert len(rows) == doc["diagnostics"]["admitted"] == 256
+    # 256 members: the document's trace is not downsampled
+    assert [[[b, s], lev] for b, s, lev in rows] == doc["family_trace"]
+    assert min(lev for _, _, lev in rows) == pytest.approx(doc["level"], rel=1e-12)
+
+
+def test_mountain_pass_witness_blows_up(tmp_path, capsys):
+    # --amp 1.05 dilates the witness, at its fiber maximum, onto the
+    # descending branch: the kinetic norm runs away within a few steps
+    point = ["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"]
+    witness = tmp_path / "w.json"
+    code, _ = run_cli(["mountain-pass", "--grid-n", "2048", "--origin-blend", "0.05",
+                       "--witness-out", str(witness)] + point, capsys)
+    assert code == 0
+    code, out = run_cli(["evolve", "--init", str(witness)] + point
+                        + ["--probe", "blowup", "--amp", "1.05", "--dt", "1e-3",
+                           "--t-end", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["probe"] == "blowup" and doc["blowup_flag"] is True
+    assert doc["blowup_time"] < 1.0
+    assert doc["diagnostics"]["refused_steps"]["growth"] >= 1
+
+
 @pytest.mark.parametrize("args", [
     ["constants", "--dim", "3", "--q", "2.5", "--mu", "1", "--a", "auto-a0"],
     ["minimize", "--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"] + FAST,
@@ -465,6 +529,9 @@ def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     (["--kind", "gaussian", "--sigma", "1e-300"], "no finite normalization"),
     (["--kind", "gaussian", "--sigma", "1e-200"], "no finite normalization"),
     (["--kind", "gaussian", "--sigma", "1e300"], "no finite normalization"),
+    # b * b overflows, or the gaussian underflows, at every node
+    (["--kind", "bubble", "--b", "1e300"], "vanishes at every node"),
+    (["--kind", "gaussian", "--sigma", "1e-160"], "vanishes at every node"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_profile_rejects_degenerate_scales(args, message, capsys):
@@ -535,3 +602,16 @@ def test_cold_import_skips_scipy_packages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_imports_are_module_level():
+    # an import inside a function hides a dependency between the modules
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "nlscrit"
+    nested = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0
+                   and id(node) not in top]
+    assert nested == []

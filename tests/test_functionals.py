@@ -188,6 +188,25 @@ def test_fiber_critical_q_decreasing_branch():
     assert np.all(psis[1:] < 0.0)
 
 
+# the three return paths: two roots below the mass-critical exponent; at
+# q = 2 + 4/N one root, or none once mu gamma_q int |u|^q exceeds ||grad u||^2
+@pytest.mark.parametrize("mu, roots", [(None, (True, True, False)),
+                                       (1.0, (False, True, False)),
+                                       (1e3, (False, False, True))],
+                         ids=["two roots", "one root", "decreasing"])
+def test_fiber_report_carries_the_norms(mu, roots, params_half, thr_half):
+    if mu is None:
+        p, g, thr = params_half, nc.make_grid(3, 50.0, 2048), thr_half
+        u = profiles.random_trial(np.random.default_rng(3)).profile(g, p.a)
+    else:
+        p, g, thr = nc.ProblemParams(4, 3.0, mu, 1.0), nc.make_grid(4, 30.0, 2048), None
+        u = profiles.gaussian(p, 1.0, g)
+    rep = fnl.fiber_critical_points(p, g, u, thresholds=thr)
+    assert (rep.tau_plus is not None, rep.tau_minus is not None,
+            rep.strictly_decreasing) == roots
+    assert rep.norms == fnl.fiber_norms(p, g, u)
+
+
 def test_fiber_roots_stable_under_grid_doubling(params_half, thr_half):
     g1 = nc.make_grid(3, 50.0, 4096)
     g2 = nc.make_grid(3, 50.0, 8192)

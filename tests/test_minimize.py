@@ -76,6 +76,20 @@ def test_boundary_scan_omega1(params_half, soliton_grid, thr_half):
     assert best > 0.0
 
 
+def test_boundary_scan_scores_the_exact_dilation(params_half, soliton_grid, thr_half):
+    # a trial scores the energy of tau^(N/2) p on the grid whose nodes are
+    # p's divided by tau, tau^2 ||grad p||^2 = rho0: its dilation onto the
+    # kinetic sphere, exact to rounding
+    g, p = soliton_grid, params_half
+    score = mn.boundary_scan(p, g, 1, seed=11, thresholds=thr_half)
+    u = profiles.random_trial(np.random.default_rng(11)).profile(g, p.a)
+    tau = math.sqrt(thr_half.rho0 / nc.grad_l2_sq(g, u))
+    gt = nc.make_grid(g.dim, g.r_max / tau, g.n, g.grading, g.origin_blend)
+    w = nc.Profile(gt, tau ** (g.dim / 2.0) * u.values)
+    assert nc.grad_l2_sq(gt, w) == pytest.approx(thr_half.rho0, rel=1e-12)
+    assert score == pytest.approx(fnl.energy(p, gt, w), rel=1e-12)
+
+
 def test_boundary_scan_omega2(params_at, soliton_grid, thr_at):
     best = mn.boundary_scan(params_at, soliton_grid, 64, seed=12, thresholds=thr_at)
     assert best >= -1e-6
