@@ -82,13 +82,11 @@ def _document(doc: dict) -> str:
 def _problem(args: argparse.Namespace) -> cst.ProblemParams:
     """(N, q, mu) of the flags, at mass 1."""
     qtext = args.q
-    if qtext == "auto":   # mass-critical exponent for this dimension
-        from fractions import Fraction
+    if qtext == "auto":   # 2 + 4/N as a fraction, which parse_q rounds once
         if args.dim < 3:
             raise ValueError(f"dim must be >= 3, got {args.dim}")
-        qtext = str(Fraction(2) + Fraction(4, args.dim))
-    qval, qexact = cst.parse_q(qtext)
-    return cst.ProblemParams(args.dim, qval, args.mu, 1.0, qexact)
+        qtext = f"{2 * args.dim + 4}/{args.dim}"
+    return cst.ProblemParams(args.dim, cst.parse_q(qtext), args.mu, 1.0)
 
 
 def _resolve_mass(args: argparse.Namespace) -> cst.ProblemParams:
@@ -151,9 +149,9 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
     params = _resolve_mass(args)
     g = _make_grid(args)
     if args.kind == "weinstein":
-        p = profiles.weinstein_ground_state(params.dim, params.q, g)
+        p = profiles.weinstein_ground_state(params.q, g)
     elif args.kind == "bubble":
-        p = profiles.aubin_talenti(params.dim, args.b, g)
+        p = profiles.aubin_talenti(args.b, g)
     else:
         p = profiles.gaussian(params, args.sigma, g)
     doc = {"schema_version": SCHEMA_VERSION, "kind": args.kind}
@@ -164,7 +162,11 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
 def _load_profile_arg(path: str, args: argparse.Namespace) -> gridmod.Profile:
     if path.endswith(".csv"):
         return gridmod.load_profile_csv(path, _make_grid(args))
-    return gridmod.load_profile(path)
+    u = gridmod.load_profile(path)
+    if u.grid.dim != args.dim:
+        raise DomainError("usage", f"{path} is a profile in dimension {u.grid.dim}, "
+                                   f"but --dim is {args.dim}")
+    return u
 
 
 def _cmd_fiber(args: argparse.Namespace) -> dict:
@@ -333,12 +335,12 @@ def _sweep_point(params, g, with_ma, with_level, tol) -> list[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace):
-    qval, qexact = cst.parse_q(args.q)
+    q = cst.parse_q(args.q)
     mu_lo, mu_hi, mu_n = args.mu_range
     a_lo, a_hi, a_n = args.a_rel_range
     with_ma, with_level = args.with_ma, args.with_level
     g = _make_grid(args) if (with_ma or with_level) else None
-    base = cst.ProblemParams(args.dim, qval, 1.0, 1.0, qexact)
+    base = cst.ProblemParams(args.dim, q, 1.0, 1.0)
     S = cst.sobolev_constant(args.dim)
     C = cst.gn_constant(base)
     buf = io.StringIO()
@@ -348,7 +350,7 @@ def _cmd_sweep(args: argparse.Namespace):
     # its first Omega1/Omega2 row solves, and the later ones print its cells
     solved = {}   # a/a0 column -> [m_a, level, error]
     for mu in np.linspace(mu_lo, mu_hi, mu_n):
-        pm = cst.ProblemParams(args.dim, qval, float(mu), 1.0, qexact)
+        pm = cst.ProblemParams(args.dim, q, float(mu), 1.0)
         a0 = cst.critical_mass_a0(pm, S, C)
         for j, rel in enumerate(np.linspace(a_lo, a_hi, a_n)):
             params, first = pm.with_mass(float(rel) * a0), j not in solved

@@ -55,13 +55,13 @@ class Exponents:
 @dataclass(frozen=True)
 class ProblemParams:
     """(N, q, mu, a): dimension, subcritical power, its weight, mass.  The
-    exponents are derived once, at construction (`ex`)."""
+    exponents are derived once, at construction (`ex`); q is mass-critical
+    when it lies within Q_CRITICAL_RTOL (relative) of 2 + 4/N."""
 
     dim: int
     q: float
     mu: float
     a: float
-    q_exact: Fraction | None = None
     ex: Exponents = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,26 +77,17 @@ class ProblemParams:
             raise ValueError("a (mass) must be positive")
         if not (math.isfinite(self.mu) and math.isfinite(self.a)):
             raise ValueError(f"mu and a must be finite, got mu={self.mu}, a={self.a}")
-        if self.q_exact is not None and float(self.q_exact) != q:
-            raise ValueError(f"q_exact = {self.q_exact} does not match q = {q}")
         q_crit = 2.0 + 4.0 / N
-        if self.q_exact is not None:
-            exact = Fraction(2) + Fraction(4, N)
-            side = (self.q_exact > exact) - (self.q_exact < exact)
-        elif abs(q - q_crit) <= Q_CRITICAL_RTOL * q_crit:
-            side = 0
-        else:
-            side = 1 if q > q_crit else -1
-        if side == 0:   # snap so that q*gamma_q == 2 holds exactly
+        if abs(q - q_crit) <= Q_CRITICAL_RTOL * q_crit:   # snap: q*gamma_q == 2 exactly
             ex = Exponents(ts, 2.0 / q, 2.0, "critical")
         else:
             gamma_q = N / 2.0 - N / q
-            cls = "supercritical" if side > 0 else "subcritical"
+            cls = "supercritical" if q > q_crit else "subcritical"
             ex = Exponents(ts, gamma_q, q * gamma_q, cls)
         object.__setattr__(self, "ex", ex)
 
     def with_mass(self, a: float) -> "ProblemParams":
-        return ProblemParams(self.dim, self.q, self.mu, a, self.q_exact)
+        return ProblemParams(self.dim, self.q, self.mu, a)
 
 
 @dataclass(frozen=True)
@@ -113,18 +104,12 @@ class Thresholds:
     regime: Regime | None
 
 
-def parse_q(text: str) -> tuple[float, Fraction | None]:
-    """Parse a q value, keeping exact rational form when one is given."""
-    text = text.strip()
+def parse_q(text: str) -> float:
+    """Parse a q value: a decimal, or a fraction a/b rounded once to a float."""
     try:
-        fr = Fraction(text)
-        return float(fr), fr
+        return float(Fraction(text.strip()))
     except ValueError:
-        return float(text), None
-
-
-def exponents(params: ProblemParams) -> Exponents:
-    return params.ex
+        return float(text)
 
 
 def is_critical(params: ProblemParams) -> bool:
@@ -157,7 +142,7 @@ def sobolev_constant(dim: int, b: float = 1.0) -> float:
 
     def quotient(nn: int) -> float:
         g = gridmod.make_grid(dim, SOBOLEV_R_MAX, nn, SOBOLEV_GRADING)
-        u = profiles.aubin_talenti(dim, b, g)
+        u = profiles.aubin_talenti(b, g)
         u = profiles.cutoff_profile(u, 0.4 * SOBOLEV_R_MAX)
         num = gridmod.grad_l2_sq(g, u)
         den = gridmod.lq_norm(g, u, ts) ** 2
@@ -172,7 +157,7 @@ def sobolev_constant(dim: int, b: float = 1.0) -> float:
 def _gn_constant_cached(dim: int, q: float) -> float:
     r_max = max(50.0, 72.0 / profiles.weinstein_decay_rate(dim, q))
     g = gridmod.make_grid(dim, r_max, GN_N, 0.0)
-    Q = profiles.weinstein_ground_state(dim, q, g)
+    Q = profiles.weinstein_ground_state(q, g)
     gam = dim / 2.0 - dim / q
     num = gridmod.lq_norm(g, Q, q)
     den = gridmod.grad_l2_sq(g, Q) ** (gam / 2.0) * gridmod.mass(g, Q) ** ((1.0 - gam) / 2.0)

@@ -9,10 +9,7 @@ polynomials p up to degree 3 and all quadrature weights are positive.
 
 Gradient-type quadratic forms (grad_l2_sq, the stiffness form used by the
 solvers) are built from compact first differences between adjacent nodes,
-i.e. the energy of the piecewise-linear interpolant.  Node-centered 3-point
-derivatives are available separately (`derivative`) for pointwise
-diagnostics; they must not be used to build energies because mesh-scale
-oscillations are invisible to them.
+i.e. the energy of the piecewise-linear interpolant.
 """
 
 from __future__ import annotations
@@ -299,26 +296,6 @@ def grad_l2_sq(grid: RadialGrid, u: Profile | np.ndarray) -> float:
     v = u.values if isinstance(u, Profile) else np.asarray(u)
     dv = np.diff(np.concatenate([v, [0.0]]))
     return float(np.real(np.dot(grid.interval_stiffness, dv * np.conj(dv))))
-
-
-def derivative(grid: RadialGrid, u: Profile | np.ndarray) -> np.ndarray:
-    """Node-centered 3-point derivative estimates (diagnostic use only)."""
-    v = u.values if isinstance(u, Profile) else np.asarray(u)
-    r = grid.nodes
-    out = np.empty_like(v)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (-hp / (hm * (hm + hp))) * v[:-2] \
-        + ((hp - hm) / (hm * hp)) * v[1:-1] \
-        + (hm / (hp * (hm + hp))) * v[2:]
-    x0, x1, x2 = r[0], r[1], r[2]
-    out[0] = v[0] * (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)) \
-        + v[1] * (x0 - x2) / ((x1 - x0) * (x1 - x2)) \
-        + v[2] * (x0 - x1) / ((x2 - x0) * (x2 - x1))
-    hm_ = r[-1] - r[-2]
-    hp_ = grid.r_max - r[-1]
-    out[-1] = (-hp_ / (hm_ * (hm_ + hp_))) * v[-2] + ((hp_ - hm_) / (hm_ * hp_)) * v[-1]
-    return out
 
 
 def _pchip_edge(h0, h1, m0, m1):

@@ -119,7 +119,7 @@ def _family_norms(params: cst.ProblemParams, grid: RadialGrid,
     buf = np.empty((2, min(MP_BLOCK, len(amps)), m))
     for b in family.bubble_widths:
         bub = profiles.cutoff_profile(
-            profiles.aubin_talenti(params.dim, b, grid), family.cutoff_radius).values
+            profiles.aubin_talenti(b, grid), family.cutoff_radius).values
         db = np.diff(np.append(bub, 0.0))
         g_ub, g_bb = float(np.dot(k, du * db)), float(np.dot(k, db * db))
         for start in range(0, len(amps), MP_BLOCK):
@@ -255,7 +255,7 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     N, q, mu = params.dim, params.q, params.mu
     ts, gam = params.ex.two_star, params.ex.gamma_q
 
-    Q = profiles.weinstein_ground_state(N, q, grid)
+    Q = profiles.weinstein_ground_state(q, grid)
     nQ = fnl.fiber_norms(params, grid, Q)
     # discrete sharp constant of this sampled maximizer
     Cq_disc = nQ.sub / (nQ.grad2 ** (q * gam / 2.0) * nQ.mass ** (q * (1.0 - gam) / 2.0))
@@ -338,7 +338,7 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
     N, q, mu, a = params.dim, params.q, params.mu, params.a
     ts, gam = params.ex.two_star, params.ex.gamma_q
 
-    Q = profiles.weinstein_ground_state(N, q, grid).values
+    Q = profiles.weinstein_ground_state(q, grid).values
     bump = _mollifier_bump(grid.nodes)
     W = grid.full_weights
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Profile, RadialGrid, lq_norm_pow, mass, rescale, scaled_tridiag_solve,
-                   tridiag_solve)
+from .grid import Profile, RadialGrid, scaled_tridiag_solve, tridiag_solve
 
 
 def ode_coefficients(dim: int, q: float) -> tuple[float, float]:
@@ -49,15 +48,16 @@ NEWTON_MAX = 20
 NEWTON_FLOOR = 1e-8
 
 
-def weinstein_ground_state(dim: int, q: float, grid: RadialGrid) -> Profile:
-    """Discrete ground state of the scalar field equation on `grid`.
+def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
+    """Discrete ground state of the scalar field equation on `grid`, in its
+    dimension.
 
     Solves A K u + B W u = W |u|^(q-2) u with the grid's stiffness K and
     weights W: Petviashvili iteration down to a relative residual
     PETVIASHVILI_TOL, then tridiagonal Newton down to NEWTON_TOL (or the
     rounding floor).
     """
-    A, B = ode_coefficients(dim, q)
+    A, B = ode_coefficients(grid.dim, q)
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
     L_diag, L_off = A * diag + B * W, A * off
@@ -97,12 +97,12 @@ def weinstein_ground_state(dim: int, q: float, grid: RadialGrid) -> Profile:
     return Profile(grid, u)
 
 
-def aubin_talenti(dim: int, b: float, grid: RadialGrid) -> Profile:
-    """Extremal bubble (b / (b^2 + r^2))^((N-2)/2)."""
+def aubin_talenti(b: float, grid: RadialGrid) -> Profile:
+    """Extremal bubble (b / (b^2 + r^2))^((N-2)/2), N = grid.dim."""
     if b <= 0.0:
         raise ValueError("b must be positive")
     r = grid.nodes
-    vals = (b / (b * b + r * r)) ** ((dim - 2.0) / 2.0)
+    vals = (b / (b * b + r * r)) ** ((grid.dim - 2.0) / 2.0)
     if not vals.any():   # b * b overflows
         raise ValueError(f"the bubble of b = {b!r} vanishes at every node of this grid")
     return Profile(grid, vals)
@@ -152,33 +152,6 @@ def gaussian(params, sigma: float, grid: RadialGrid) -> Profile:
         raise ValueError(f"the gaussian of sigma = {sigma!r} vanishes at every node "
                          "of this grid")
     return Profile(grid, vals)
-
-
-def normalize_mass_lq(params, u: Profile, a: float | None = None) -> Profile:
-    """Rescale u to alpha u(beta x) with ||.||_2^2 = a and ||.||_q = 1.
-
-    Only meaningful at the mass-critical exponent q = 2 + 4/N, where the
-    two normalizations can be met simultaneously while the Gagliardo-
-    Nirenberg quotient of u is preserved.
-    """
-    if params.ex.q_class != "critical":
-        raise ValueError("the joint mass/Lq normalization requires q = 2 + 4/N")
-    if a is None:
-        a = params.a
-    g = u.grid
-    N, q = g.dim, params.q
-    l2 = math.sqrt(mass(g, u))
-    lq = lq_norm_pow(g, u, q) ** (1.0 / q)
-    if l2 == 0.0 or lq == 0.0:
-        raise ValueError("cannot normalize the zero profile")
-    x = l2 / (math.sqrt(a) * lq)
-    alpha = x ** (N / 2.0) / lq
-    beta = x ** (q / 2.0)
-    if abs(beta - 1.0) < 1e-12:      # already normalized: no resampling noise
-        return Profile(g, alpha * u.values)
-    # alpha u(beta r) = (alpha / beta^(N/2)) * [beta^(N/2) u(beta r)]
-    scaled = rescale(u, beta)
-    return Profile(g, (alpha / beta ** (N / 2.0)) * scaled.values)
 
 
 # ---------------------------------------------------------------------------

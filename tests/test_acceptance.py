@@ -74,7 +74,7 @@ def test_criterion_3_gn_sharpness():
         C = nc.gn_constant(p)
         g = nc.make_grid(dim, 50.0, 8192)
         gam = dim / 2.0 - dim / q
-        Q = profiles.weinstein_ground_state(dim, q, g)
+        Q = profiles.weinstein_ground_state(q, g)
         lhs = nc.lq_norm(g, Q, q)
         rhs = C * nc.grad_l2_sq(g, Q) ** (gam / 2.0) * nc.mass(g, Q) ** ((1 - gam) / 2.0)
         if abs(lhs - rhs) > 1e-3 * rhs:
@@ -161,7 +161,7 @@ def test_criterion_7_vanishing_infimum():
     p0 = nc.ProblemParams(4, 3.0, 1.0, 1.0)
     C = nc.gn_constant(p0)
     ab = nc.abar(p0, C)
-    ex = nc.exponents(p0)
+    ex = p0.ex
     expo = 2.0 / (p0.q * (1.0 - ex.gamma_q))
     g = nc.make_grid(4, 200.0, 8192)
     S4 = nc.sobolev_constant(4)

@@ -71,6 +71,36 @@ def test_fiber_domain_error_is_json_exit_1(tmp_path, capsys):
     assert "error_kind" in doc and "message" in doc and "context" in doc
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_auto_q_round_trips_as_critical(dim, capsys):
+    # the q that `--q auto` prints, fed back as text, is the same critical q
+    code, out = run_cli(["constants", "--dim", str(dim), "--q", "auto", "--a", "1"], capsys)
+    assert code == 0
+    q = json.loads(out)["params"]["q"]
+    code, out = run_cli(["constants", "--dim", str(dim), "--q", repr(q),
+                         "--mass-multiple", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["q"] == q and doc["exponents"]["q_class"] == "critical"
+
+
+@pytest.mark.parametrize("cmd", [
+    ["fiber", "--profile"],
+    ["evolve", "--dt", "1e-3", "--t-end", "0.002", "--init"],
+])
+def test_profile_of_another_dim_is_refused(cmd, tmp_path, capsys):
+    prof = tmp_path / "g.json"
+    code, _ = run_cli(["profile", "--kind", "gaussian", "--dim", "3", "--a", "1.0",
+                       "--out", str(prof)] + FAST, capsys)
+    assert code == 0
+    code = cli.main(cmd + [str(prof), "--dim", "4", "--q", "2.5", "--a", "1.0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["error_kind"] == "usage"
+    assert "dimension 3" in doc["message"] and "--dim is 4" in doc["message"]
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["cpo", "--dim", "4", "--q", "3"])
@@ -280,9 +310,9 @@ def test_sweep_solves_ground_state_once(capsys, monkeypatch):
     calls = []
     solve = cli.profiles.weinstein_ground_state
 
-    def counted(*args):
-        calls.append(args[:2])
-        return solve(*args)
+    def counted(q, grid):
+        calls.append((grid.dim, q))
+        return solve(q, grid)
 
     monkeypatch.setattr(cli.profiles, "weinstein_ground_state", counted)
     cli.cst._gn_constant_cached.cache_clear()
@@ -361,8 +391,7 @@ def test_every_command_reports_one_m_a(tmp_path, capsys):
     assert docs["mountain-pass"]["diagnostics"]["r_max"] == r_max
     # the witness file holds u_{tau_minus} on its own grid, at the level
     w = gridmod.load_profile(str(witness))
-    q, q_exact = cst.parse_q("3.2")
-    params = cst.ProblemParams(3, q, 1.0, gridmod.mass(w.grid, w), q_exact)
+    params = cst.ProblemParams(3, 3.2, 1.0, gridmod.mass(w.grid, w))
     assert fnl.energy(params, w.grid, w) == pytest.approx(docs["mountain-pass"]["level"],
                                                           rel=1e-12)
 
@@ -488,14 +517,6 @@ def test_schema_version_everywhere(tmp_path, capsys):
      "--kind", "weinstein"],
     ["profile", "--dim", "5", "--q", "3.2", "--a", "1.0", "--grid-n", "16", "--r-max", "1e4",
      "--grading", "1", "--kind", "weinstein"],
-    ["cpo", "--case", "1", "--dim", "5", "--mu", "1e8", "--a", "1e8", "--grid-n", "32",
-     "--r-max", "1e4"],
-    ["cpo", "--case", "1", "--dim", "3", "--mass-multiple", "1", "--grid-n", "64",
-     "--r-max", "30", "--n-values", "0"],
-    ["cpo", "--case", "1", "--dim", "4", "--q", "3", "--mass-multiple", "1", "--grid-n", "256",
-     "--r-max", "60", "--n-values", "nan"],
-    ["cpo", "--case", "1", "--dim", "6", "--mu", "1e-8", "--a", "1e-8", "--grid-n", "64",
-     "--r-max", "1e-3", "--n-values", "1e-300"],
     ["sweep", "--mu-range", "1:inf:1", "--a-rel-range", "0.9:1.1:2"],
 ])
 @pytest.mark.filterwarnings("error")
@@ -615,3 +636,17 @@ def test_package_imports_are_module_level():
                    if isinstance(node, ast.ImportFrom) and node.level > 0
                    and id(node) not in top]
     assert nested == []
+
+
+def test_no_function_takes_dim_and_grid():
+    # a grid carries its dimension: a separate dim argument could disagree
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "nlscrit"
+    both = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"dim", "grid"} <= names:
+                    both.append(f"{path.name}:{node.name}")
+    assert both == []

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ def sobolev_closed_form(dim):
 
 
 def test_exponents_basic():
-    ex = nc.exponents(nc.ProblemParams(3, 3.0, 1.0, 1.0))
+    ex = nc.ProblemParams(3, 3.0, 1.0, 1.0).ex
     assert ex.two_star == 6.0
     assert ex.gamma_q == pytest.approx(0.5, abs=1e-15)
     assert ex.q_gamma_q == pytest.approx(1.5, abs=1e-15)
@@ -25,12 +24,11 @@ def test_exponents_basic():
 
 
 def test_exponents_critical_rational():
-    qv, qe = parse_q("10/3")
-    ex = nc.exponents(nc.ProblemParams(3, qv, 1.0, 1.0, qe))
+    ex = nc.ProblemParams(3, parse_q("10/3"), 1.0, 1.0).ex
     assert ex.q_class == "critical"
     assert ex.q_gamma_q == 2.0
     assert ex.gamma_q == pytest.approx(3.0 / 5.0, rel=1e-15)
-    ex4 = nc.exponents(nc.ProblemParams(4, 3.0, 1.0, 1.0))
+    ex4 = nc.ProblemParams(4, 3.0, 1.0, 1.0).ex
     assert ex4.q_class == "critical"
     assert ex4.two_star == 4.0
     assert ex4.q_gamma_q == 2.0
@@ -38,14 +36,14 @@ def test_exponents_critical_rational():
 
 def test_exponents_critical_float_tolerance():
     # 2 + 4/3 and 10/3 differ in the last bit; classification must not care
-    ex = nc.exponents(nc.ProblemParams(3, 10.0 / 3.0, 1.0, 1.0))
+    ex = nc.ProblemParams(3, 10.0 / 3.0, 1.0, 1.0).ex
     assert ex.q_class == "critical"
 
 
 def test_exponents_derived_once_per_params():
     p = nc.ProblemParams(3, 2.5, 1.0, 1.0)
-    assert nc.exponents(p) is nc.exponents(p)
     assert p.with_mass(2.0) == nc.ProblemParams(3, 2.5, 1.0, 2.0)
+    assert p.with_mass(2.0).ex == p.ex
 
 
 def test_params_rejects_bad_q():
@@ -62,12 +60,14 @@ def test_params_rejects_bad_q():
             nc.ProblemParams(3, 2.5, mu, a)
 
 
-def test_params_rejects_mismatched_q_exact():
-    # 10/3 is the critical exponent at N = 3, q = 3 is not: the pair is one q
-    with pytest.raises(ValueError, match="does not match"):
-        nc.ProblemParams(3, 3.0, 1.0, 1.0, Fraction(10, 3))
-    qv, qe = parse_q("10/3")
-    assert nc.ProblemParams(3, qv, 1.0, 1.0, qe).q_exact == Fraction(10, 3)
+def test_q_class_is_one_float_rule():
+    # the fraction, its correctly rounded decimal and the float expression
+    # 2 + 4/3 (one bit below) all lie within Q_CRITICAL_RTOL of 2 + 4/N
+    assert parse_q("10/3") == 3.3333333333333335
+    for text in ("10/3", "3.3333333333333335", repr(2.0 + 4.0 / 3.0)):
+        assert nc.ProblemParams(3, parse_q(text), 1.0, 1.0).ex.q_class == "critical"
+    assert nc.ProblemParams(3, parse_q("3"), 1.0, 1.0).ex.q_class == "subcritical"
+    assert nc.ProblemParams(3, parse_q("7/2"), 1.0, 1.0).ex.q_class == "supercritical"
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -85,7 +85,7 @@ def test_sobolev_constant_b_invariance():
 def test_gn_equality_at_ground_state(base325, sharp3):
     _, C = sharp3
     g = nc.make_grid(3, 50.0, 8192)
-    Q = profiles.weinstein_ground_state(3, 2.5, g)
+    Q = profiles.weinstein_ground_state(2.5, g)
     gam = 3.0 / 2.0 - 3.0 / 2.5
     lhs = nc.lq_norm(g, Q, 2.5)
     rhs = C * nc.grad_l2_sq(g, Q) ** (gam / 2.0) * nc.mass(g, Q) ** ((1.0 - gam) / 2.0)
@@ -205,7 +205,7 @@ def test_classify_critical_branches():
     p0 = nc.ProblemParams(4, 3.0, 1.0, 1.0)
     C = nc.gn_constant(p0)
     ab = nc.abar(p0, C)
-    ex = nc.exponents(p0)
+    ex = p0.ex
     expo = 2.0 / (p0.q * (1.0 - ex.gamma_q))
     a_at = (ab / p0.mu) ** expo
     assert nc.classify(p0.with_mass(a_at), C_Nq=C) is Regime.AT_OR_ABOVE_ABAR
@@ -232,5 +232,5 @@ def test_supercritical_rejections():
 def test_qgamma_exactly_two_at_critical():
     for dim in (3, 4, 5):
         q = 2.0 + 4.0 / dim
-        ex = nc.exponents(nc.ProblemParams(dim, q, 1.0, 1.0))
+        ex = nc.ProblemParams(dim, q, 1.0, 1.0).ex
         assert ex.q_gamma_q == 2.0

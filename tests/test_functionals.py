@@ -136,7 +136,7 @@ def test_fiber_critical_q_closed_form():
     g = nc.make_grid(4, 30.0, 4096)
     u = profiles.gaussian(p, 1.0, g)
     nm = fnl.fiber_norms(p, g, u)
-    gam = nc.exponents(p).gamma_q
+    gam = p.ex.gamma_q
     excess = nm.grad2 - p.mu * gam * nm.sub
     assert excess > 0.0
     rep = fnl.fiber_critical_points(p, g, u)
@@ -153,12 +153,12 @@ def test_fiber_critical_q_closed_form():
 def test_fiber_critical_q_root_anywhere(a):
     # tau_u scales like a^(-1/2): at a = 1e-10 it lies beyond tau = 1e6
     g = nc.make_grid(4, 50.0, 2048)
-    Q = profiles.weinstein_ground_state(4, 3.0, g)
+    Q = profiles.weinstein_ground_state(3.0, g)
     p = nc.ProblemParams(4, 3.0, 1.0, a)
     u = nc.Profile(g, Q.values * math.sqrt(a / nc.mass(g, Q)))
     rep = fnl.fiber_critical_points(p, g, u)
     nm = fnl.fiber_norms(p, g, u)
-    tau_u = ((nm.grad2 - p.mu * nc.exponents(p).gamma_q * nm.sub) / nm.crit) ** 0.5
+    tau_u = ((nm.grad2 - p.mu * p.ex.gamma_q * nm.sub) / nm.crit) ** 0.5
     assert rep.tau_minus == tau_u and (tau_u > 1e6) == (a < 1e-6)
     assert rep.e_at_tau_minus == fnl.psi_value(p, nm, tau_u)
 
@@ -168,8 +168,8 @@ def test_fiber_critical_q_decreasing_branch():
     # fiber map has no root
     p0 = nc.ProblemParams(4, 3.0, 1.0, 1.0)
     g = nc.make_grid(4, 50.0, 4096)
-    Q = profiles.weinstein_ground_state(4, 3.0, g)
-    gam = nc.exponents(p0).gamma_q
+    Q = profiles.weinstein_ground_state(3.0, g)
+    gam = p0.ex.gamma_q
     # scale u = t Q so that the excess becomes negative: excess(t) =
     # t^2 g - mu gam t^q h < 0 for t large
     g2, hq = nc.grad_l2_sq(g, Q), nc.lq_norm_pow(g, Q, 3.0)
@@ -267,7 +267,7 @@ def test_lagrange_multiplier_recovers_eigenvalue():
 def test_lagrange_multiplier_scaling_consistency(params_half, soliton_grid):
     u = profiles.gaussian(params_half, 1.0, soliton_grid)
     nm = fnl.fiber_norms(params_half, soliton_grid, u)
-    ex = nc.exponents(params_half)
+    ex = params_half.ex
     tau = 1.5
     predicted = (tau**2 * nm.grad2 - tau**ex.two_star * nm.crit
                  - params_half.mu * tau**ex.q_gamma_q * nm.sub) / nm.mass

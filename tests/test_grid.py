@@ -327,15 +327,6 @@ def test_profile_csv_load(tmp_path):
     assert np.max(np.abs(u.values - ref)) < 1e-4
 
 
-def test_derivative_diagnostic_accuracy():
-    g = nc.make_grid(3, 20.0, 4096)
-    u = gauss_profile(g)
-    du = nc.derivative(g, u)
-    exact = -g.nodes * np.exp(-g.nodes**2 / 2.0)
-    mask = g.nodes < 10.0
-    assert np.max(np.abs(du[mask] - exact[mask])) < 1e-5
-
-
 def test_resample_between_grids():
     g1 = nc.make_grid(3, 20.0, 4096)
     g2 = nc.make_grid(3, 15.0, 1024, origin_blend=0.5)

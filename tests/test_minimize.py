@@ -98,7 +98,7 @@ def test_boundary_scan_omega2(params_at, soliton_grid, thr_at):
 def test_boundary_dilated_ground_state(params_at, soliton_grid, thr_at):
     # one boundary sample built by hand from the sharpest available profile
     g = soliton_grid
-    Q = profiles.weinstein_ground_state(3, 2.5, g)
+    Q = profiles.weinstein_ground_state(2.5, g)
     u = nc.Profile(g, Q.values * math.sqrt(params_at.a / nc.mass(g, Q)))
     tau = math.sqrt(thr_at.rho0 / nc.grad_l2_sq(g, u))
     for _ in range(10):

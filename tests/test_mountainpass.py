@@ -17,7 +17,7 @@ def critical_params(multiple, dim=4, mu=1.0):
     p0 = nc.ProblemParams(dim, 2.0 + 4.0 / dim, mu, 1.0)
     C = nc.gn_constant(p0)
     ab = nc.abar(p0, C)
-    ex = nc.exponents(p0)
+    ex = p0.ex
     a = (multiple * ab / mu) ** (2.0 / (p0.q * (1.0 - ex.gamma_q)))
     return p0.with_mass(a)
 
@@ -39,8 +39,8 @@ def test_projection_contracts(params_half, soliton_grid, thr_half):
 def test_projection_refused_on_decreasing_branch():
     p0 = critical_params(2.0)
     g = nc.make_grid(4, 50.0, 4096)
-    Q = profiles.weinstein_ground_state(4, 3.0, g)
-    gam = nc.exponents(p0).gamma_q
+    Q = profiles.weinstein_ground_state(3.0, g)
+    gam = p0.ex.gamma_q
     g2, hq = nc.grad_l2_sq(g, Q), nc.lq_norm_pow(g, Q, 3.0)
     t = 2.0 * g2 / (p0.mu * gam * hq)
     u = nc.Profile(g, t * Q.values)
@@ -107,7 +107,7 @@ def fiber_loop(params, grid, family, umin, thr):
     trace, refused, best = [], [], (math.inf, None)
     W = grid.full_weights
     for b in family.bubble_widths:
-        bub = profiles.cutoff_profile(profiles.aubin_talenti(params.dim, b, grid),
+        bub = profiles.cutoff_profile(profiles.aubin_talenti(b, grid),
                                       family.cutoff_radius)
         for s in family.amplitudes:
             vals = umin + s * bub.values
@@ -132,8 +132,7 @@ def assert_same_trace(got, want):
 @pytest.mark.parametrize("dim, q", [(3, "2.5"), (3, "3.2"), (4, "2.5"), (5, "2.4"),
                                     (6, "2.2")])
 def test_blocked_family_matches_fiber_loop(dim, q):
-    qval, qexact = cst.parse_q(q)
-    unit = nc.ProblemParams(dim, qval, 1.0, 1.0, qexact)
+    unit = nc.ProblemParams(dim, cst.parse_q(q), 1.0, 1.0)
     params = unit.with_mass(0.5 * nc.critical_mass_a0(unit, nc.sobolev_constant(dim),
                                                        nc.gn_constant(unit)))
     g = nc.make_grid(dim, 50.0, 2048)

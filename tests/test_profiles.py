@@ -65,7 +65,7 @@ def discrete_residual(dim, q, Q):
 def test_ground_state_center_height_vs_oracle():
     # the grid solution converges to the ODE solution at O(h^2)
     sigma = oracle_center_height(3, 3.0)
-    errs = [abs(profiles.weinstein_ground_state(3, 3.0, nc.make_grid(3, 50.0, n)).values[0]
+    errs = [abs(profiles.weinstein_ground_state(3.0, nc.make_grid(3, 50.0, n)).values[0]
                 / sigma - 1.0) for n in (2048, 8192)]
     assert errs[0] / errs[1] >= 10.0
     assert errs[1] <= 2e-6
@@ -75,7 +75,7 @@ def test_ground_state_center_height_vs_oracle():
 def test_ground_state_contracts(dim, q):
     # (6, 2.2): the w = 0 core has stiffness entries ~1e-22
     g = nc.make_grid(dim, 50.0, 8192)
-    Q = profiles.weinstein_ground_state(dim, q, g)
+    Q = profiles.weinstein_ground_state(q, g)
     v = Q.values
     assert np.all(v > 0.0)
     assert np.all(np.diff(v) < 1e-12)          # radially decreasing
@@ -102,24 +102,24 @@ def test_bubble_values_and_quotient(sharp3):
     # ~0.6% deficit, so this domain is tested at 1%; the constant pipeline
     # itself runs on a 30x wider domain and lands within 0.05%
     g = nc.make_grid(3, 1.0e3, 8192, grading=3.0)
-    u = profiles.aubin_talenti(3, 1.0, g)
+    u = profiles.aubin_talenti(1.0, g)
     assert u.values[0] == pytest.approx(1.0, abs=1e-6)
     v = profiles.cutoff_profile(u, 0.4 * g.r_max)
     quot = nc.grad_l2_sq(g, v) / nc.lq_norm(g, v, 6.0) ** 2
     assert quot == pytest.approx(S, rel=1e-2)
     gw = nc.make_grid(3, 3.0e4, 8192, grading=3.0)
-    uw = profiles.cutoff_profile(profiles.aubin_talenti(3, 1.0, gw), 0.4 * gw.r_max)
+    uw = profiles.cutoff_profile(profiles.aubin_talenti(1.0, gw), 0.4 * gw.r_max)
     quot_w = nc.grad_l2_sq(gw, uw) / nc.lq_norm(gw, uw, 6.0) ** 2
     assert quot_w == pytest.approx(S, rel=5e-3)
     with pytest.raises(ValueError):
-        profiles.aubin_talenti(3, -1.0, g)
+        profiles.aubin_talenti(-1.0, g)
 
 
 def test_bubble_vs_soliton_decay_separation():
     # algebraic vs exponential far field: the log-log slope separates them
     g = nc.make_grid(3, 1.0e3, 8192, grading=3.0)
-    bub = profiles.aubin_talenti(3, 1.0, g)
-    sol = profiles.weinstein_ground_state(3, 2.5, g)
+    bub = profiles.aubin_talenti(1.0, g)
+    sol = profiles.weinstein_ground_state(2.5, g)
     sel = (g.nodes > 50.0) & (g.nodes < 500.0)
     r = g.nodes[sel]
     slope_b = np.polyfit(np.log(r), np.log(bub.values[sel]), 1)[0]
@@ -145,7 +145,7 @@ def test_cutoff_profile_properties():
 
 def test_cutoff_h1_error_decreases_for_bubble():
     g = nc.make_grid(3, 1.0e3, 8192, grading=3.0)
-    u = profiles.aubin_talenti(3, 1.0, g)
+    u = profiles.aubin_talenti(1.0, g)
     errs = []
     for ncut in (10.0, 20.0, 40.0):
         v = profiles.cutoff_profile(u, ncut)
@@ -176,53 +176,6 @@ def test_gaussian_normalization():
     assert nc.mass(g, u2) == pytest.approx(1.0, rel=1e-8)
     p5 = p.with_mass(5.0)
     assert nc.mass(g, profiles.gaussian(p5, 1.0, g)) == pytest.approx(5.0, rel=1e-8)
-
-
-def test_normalize_mass_lq_critical():
-    p = nc.ProblemParams(4, 3.0, 1.0, 1.0)
-    g = nc.make_grid(4, 30.0, 4096)
-    u = profiles.gaussian(p, 1.3, g)
-    v = profiles.normalize_mass_lq(p, u, 1.0)
-    assert nc.mass(g, v) == pytest.approx(1.0, rel=1e-6)
-    assert nc.lq_norm(g, v, 3.0) == pytest.approx(1.0, rel=1e-6)
-
-    def gn_quotient(w):
-        gam = 4.0 / 2.0 - 4.0 / 3.0
-        return (nc.grad_l2_sq(g, w) ** (3.0 * gam / 2.0)
-                * nc.mass(g, w) ** (3.0 * (1.0 - gam) / 2.0)
-                / nc.lq_norm(g, w, 3.0) ** 3.0)
-
-    assert gn_quotient(v) == pytest.approx(gn_quotient(u), rel=1e-5)
-
-
-def test_normalize_mass_lq_identity_on_normalized():
-    # Gaussian with width and amplitude solved analytically so that both
-    # ||u||_2^2 = a and ||u||_q = 1 hold; the map must then be the identity
-    p = nc.ProblemParams(4, 3.0, 1.0, 1.0)
-    g = nc.make_grid(4, 30.0, 4096)
-    N, q, a = 4, 3.0, 1.0
-    # ||c e^(-r^2/(2 s^2))||_2^2 = c^2 s^N pi^(N/2),  int |.|^q = c^q s^N (2 pi/q)^(N/2)
-    s = (math.pi ** (N * q / 4.0) * (q / (2.0 * math.pi)) ** (N / 2.0)
-         * a ** (-q / 2.0)) ** (1.0 / (N * (1.0 - q / 2.0)))
-    c = math.sqrt(a / (s ** N * math.pi ** (N / 2.0)))
-    u = nc.Profile(g, c * np.exp(-g.nodes**2 / (2.0 * s * s)))
-    assert nc.mass(g, u) == pytest.approx(a, rel=1e-9)
-    assert nc.lq_norm(g, u, q) == pytest.approx(1.0, rel=1e-9)
-    v = profiles.normalize_mass_lq(p, u, a)
-    assert np.max(np.abs(v.values - u.values)) < 1e-7 * np.max(np.abs(u.values))
-
-
-def test_normalize_mass_lq_rejections():
-    p_sub = nc.ProblemParams(3, 2.5, 1.0, 1.0)
-    g = nc.make_grid(3, 30.0, 1024)
-    u = profiles.gaussian(p_sub, 1.0, g)
-    with pytest.raises(ValueError):
-        profiles.normalize_mass_lq(p_sub, u, 1.0)
-    p_cr = nc.ProblemParams(4, 3.0, 1.0, 1.0)
-    g4 = nc.make_grid(4, 30.0, 1024)
-    zero = nc.Profile(g4, np.zeros(g4.n))
-    with pytest.raises(ValueError):
-        profiles.normalize_mass_lq(p_cr, zero, 1.0)
 
 
 def test_cutoff_renormalize_keeps_mass_exact():
