@@ -116,6 +116,15 @@ def is_critical(params: ProblemParams) -> bool:
     return params.ex.q_class == "critical"
 
 
+def require_grid_dim(params: ProblemParams, grid: gridmod.RadialGrid) -> None:
+    """ValueError unless `grid` discretizes R^N for the problem's N: on a grid
+    of another dimension the norms would be taken against r^(N'-1) dr with
+    the exponents of N, and nothing downstream would notice."""
+    if grid.dim != params.dim:
+        raise ValueError(f"the problem has dimension {params.dim} but the grid "
+                         f"has dimension {grid.dim}")
+
+
 # ---------------------------------------------------------------------------
 # sharp constants
 

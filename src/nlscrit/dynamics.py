@@ -39,8 +39,8 @@ import numpy as np
 
 from . import constants as cst
 from . import functionals as fnl
-from .grid import (Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass, rescale,
-                   tridiag_solve)
+from .grid import (Profile, RadialGrid, TridiagBand, all_finite, lq_norm_pow, mass,
+                   rescale)
 
 RESOLUTION_CAP = 0.5      # largest accepted dt * max|potential|
 GROWTH_TRIGGER = 1.05     # kinetic-norm growth in one step that halves dt
@@ -66,40 +66,79 @@ class TrajectorySummary:
     refused_steps: dict[str, int]    # refused step attempts by REFUSAL_REASONS
 
 
-def _power(rho: np.ndarray, e: float) -> np.ndarray:
-    """rho ** e, by products and square roots where e allows; pow is the
-    costliest part of a step otherwise."""
+def _power(rho: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """rho ** e, into `out` unless e == 1, by products and square roots where
+    e allows; pow is the costliest part of a step otherwise."""
     if e == 2.0:
-        return rho * rho
+        return np.multiply(rho, rho, out=out)
     if e == 1.0:
         return rho
     if e == 0.5:
-        return np.sqrt(rho)
+        return np.sqrt(rho, out=out)
     if e == 0.25:
-        return np.sqrt(np.sqrt(rho))
-    return rho ** e
+        return np.sqrt(np.sqrt(rho, out=out), out=out)
+    return np.power(rho, e, out=out)
 
 
-def _density(psi: np.ndarray) -> np.ndarray:
-    """|psi|^2, without abs's hypot."""
-    return (psi * psi.conj()).real
+def _density(psi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|psi|^2, without abs's hypot: the real part of psi * conj(psi),
+    computed in the complex `scratch`."""
+    np.conjugate(psi, out=scratch)
+    return np.multiply(psi, scratch, out=scratch).real
 
 
 class _RelaxationStepper:
+    """The Cayley steps of one trajectory, computed in a workspace allocated
+    once, here: no array of grid size is allocated per accepted step."""
+
     def __init__(self, params: cst.ProblemParams, grid: RadialGrid, linear: bool):
+        cst.require_grid_dim(params, grid)
         self.params = params
         self.grid = grid
         self.linear = linear
         self.refused = dict.fromkeys(REFUSAL_REASONS, 0)
-        self._dt, self._bands = None, None   # bands of M+ for step size _dt
+        self._dt, self._bands = None, None   # M+ for step size _dt but its ups term
+        n = grid.n
+        # psi and ups pairs, written alternately: a step never writes into its
+        # own input, so a refused step leaves the state it was given intact
+        self._psi = (np.empty(n, complex), np.empty(n, complex))
+        self._ups = (np.empty(n), np.empty(n))
+        self._diag = np.empty(n, complex)        # the diagonal of M+
+        self._spare = np.empty(n, complex)       # psi * conj(psi), dv * conj(dv)
+        self._pow = (np.empty(n), np.empty(n))   # the powers of |psi|^2
+        # W and the interval stiffness as complex: the products with complex
+        # arrays then run without a cast buffer, on the same loops
+        self._w = grid.full_weights.astype(complex)
+        self._k = grid.interval_stiffness.astype(complex)
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
+        """V(rho), a new array."""
+        return self._potential(rho, np.empty_like(rho), np.empty_like(rho))
+
+    def _potential(self, rho: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """V(rho) into `out`; `tmp` is scratch of the same size."""
         if self.linear:
-            return np.zeros_like(rho)
+            out.fill(0.0)
+            return out
         ex, mu = self.params.ex, self.params.mu
         with np.errstate(under="ignore"):
-            return (_power(rho, ex.two_star / 2.0 - 1.0)
-                    + mu * _power(rho, self.params.q / 2.0 - 1.0))
+            crit = _power(rho, ex.two_star / 2.0 - 1.0, out)
+            sub = np.multiply(mu, _power(rho, self.params.q / 2.0 - 1.0, tmp), out=tmp)
+            return np.add(crit, sub, out=out)
+
+    def density_potential(self, psi: np.ndarray) -> np.ndarray:
+        """V(|psi|^2), a new array: the restart value of the auxiliary variable."""
+        return self.potential(_density(psi, self._spare))
+
+    def grad_l2_sq(self, psi: np.ndarray) -> float:
+        """grad_l2_sq(grid, psi) for complex psi, to the bit, computed in the
+        workspace: the same differences, products and complex dot product."""
+        dv, prod = self._diag, self._spare
+        np.subtract(psi[1:], psi[:-1], out=dv[:-1])
+        np.subtract(0.0, psi[-1:], out=dv[-1:])    # the Dirichlet ghost value 0
+        np.conjugate(dv, out=prod)
+        np.multiply(dv, prod, out=prod)
+        return float(np.real(np.dot(self._k, prod)))
 
     def _refuse(self, reason: str) -> None:
         """Count a refused step; returns None, step's refusal."""
@@ -110,11 +149,19 @@ class _RelaxationStepper:
         """One relaxation CN step; returns (psi_new, ups_new), or None and
         counts the reason in `refused`.
 
+        psi_new and ups_new live in the stepper's workspace.  A step given
+        them as its input writes into the other pair, so they outlive that
+        step, refused or not; any other step may overwrite them.
+
         A step is refused when dt * max|potential| exceeds RESOLUTION_CAP:
         the Cayley solve would stay stable but simply scramble phases,
         silently freezing a focusing solution instead of following it."""
-        ups_new = 2.0 * self.potential(_density(psi)) - ups
-        top = float(np.max(np.abs(ups_new)))   # NaN or inf if any entry is
+        new = self._psi[psi is self._psi[0]]
+        ups_new = self._ups[ups is self._ups[0]]
+        pot = self._potential(_density(psi, new), *self._pow)
+        np.multiply(2.0, pot, out=ups_new)
+        np.subtract(ups_new, ups, out=ups_new)
+        top = float(np.max(np.abs(ups_new, out=self._pow[1])))   # NaN or inf if any entry is
         if not math.isfinite(top):
             return self._refuse("nonfinite")
         if not self.linear and dt * top > RESOLUTION_CAP:
@@ -124,14 +171,18 @@ class _RelaxationStepper:
             # M+ = W + i dt/2 (A - W ups) but for its ups term, once per step size
             diag, off = self.grid.stiffness_bands()
             idt2 = 0.5j * dt
-            self._dt, self._bands = dt, (idt2 * off, W + idt2 * diag, idt2 * W)
-        off_b, diag_b, iw = self._bands
+            self._dt, self._bands = dt, (TridiagBand(idt2 * off), W + idt2 * diag, idt2 * W)
+        band, diag_b, iw = self._bands
+        d = self._diag
+        np.copyto(d, ups_new)    # ups_new as complex, as iw * ups_new casts it
+        np.subtract(diag_b, np.multiply(iw, d, out=d), out=d)
         try:
-            x = tridiag_solve(off_b, diag_b - iw * ups_new, W * psi)
+            x = band.solve_inplace(d, np.multiply(self._w, psi, out=new))
         except np.linalg.LinAlgError:
             return self._refuse("singular")
-        new = 2.0 * x - psi
-        if not np.isfinite(new).all():
+        np.multiply(2.0, x, out=new)
+        np.subtract(new, psi, out=new)
+        if not all_finite(new):
             return self._refuse("nonfinite")
         return new, ups_new
 
@@ -164,9 +215,11 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite: t_end = {t_end!r}, dt = {dt!r}")
     stepper = _RelaxationStepper(params, grid, linear)
     psi = psi0.values.astype(complex)
-    ups = stepper.potential(_density(psi))
+    ups = stepper.density_potential(psi)
     probe_idx = int(np.argmax(np.abs(psi))) if np.any(psi != 0.0) else 0
     ref = None if reference is None else reference.values.astype(complex)
     ref_norm_sq = None if ref is None else grid.stiffness_quad(ref) + mass(grid, ref)
@@ -188,7 +241,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
 
     # grad_l2_sq, not u.A.u: its per-interval sum is cheaper and has no
     # cancellation between the diagonal and off-diagonal terms of A
-    grad2 = grad_l2_sq(grid, psi)
+    grad2 = stepper.grad_l2_sq(psi)
     g0 = math.sqrt(max(grad2, 1e-300))
     record(0.0, psi, grad2)
 
@@ -209,7 +262,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         h = min(cur_dt, t_end - t)
         out = stepper.step(psi, ups, h)
         if out is not None:
-            grad2 = grad_l2_sq(grid, out[0])
+            grad2 = stepper.grad_l2_sq(out[0])
             gnorm = math.sqrt(max(grad2, 0.0))
             grew = gnorm > GROWTH_TRIGGER * gnorm_prev and gnorm > GROWTH_TRIGGER * g0
             if grew and cur_dt > 2.0 * DT_MIN:
@@ -218,7 +271,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         if out is None:
             cur_dt *= 0.5
             ok_streak = 0
-            ups = stepper.potential(_density(psi))   # restart the recursion
+            ups = stepper.density_potential(psi)   # restart the recursion
             if cur_dt < DT_MIN:
                 blowup = True
                 blowup_time = t
@@ -231,7 +284,7 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
             ok_streak += 1
             if ok_streak >= 8:      # recover the step size after a rough patch
                 cur_dt = min(2.0 * cur_dt, dt)
-                ups = stepper.potential(_density(psi))
+                ups = stepper.density_potential(psi)
                 ok_streak = 0
         gnorm_prev = gnorm
         sample = (steps % stride == 0) or t >= t_end - 1e-12

@@ -62,6 +62,7 @@ class FiberNorms:
 def fiber_norms(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> FiberNorms:
     """The norms of u on `grid`, which must be u's own grid: another grid
     with the same n would give wrong norms without any error."""
+    cst.require_grid_dim(params, grid)
     if u.grid is not grid:
         raise ValueError("the profile lives on another grid")
     return FiberNorms(grad2=grad_l2_sq(grid, u),

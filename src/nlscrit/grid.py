@@ -174,11 +174,39 @@ _DGTSV, _ZGTSV = _lapack_gtsv()
 _F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 
-def _all_finite(*arrays: np.ndarray) -> bool:
+def all_finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of every array is finite."""
     # a sum is finite unless an entry is inf or NaN, or the sum overflows:
     # only then does the slower entrywise scan run
     with np.errstate(over="ignore", invalid="ignore"):
         return all(np.isfinite(a.sum()) or np.isfinite(a).all() for a in arrays)
+
+
+def _gtsv_for(*arrays: np.ndarray):
+    """zgtsv if any array is complex128, else dgtsv; TypeError unless every
+    array is float64 or complex128, so no input drops to single precision."""
+    dtypes = {a.dtype for a in arrays}
+    if not dtypes <= {_F64, _C128}:
+        raise TypeError("tridiag_solve takes float64 or complex128 arrays, got "
+                        + ", ".join(sorted(map(str, dtypes))))
+    return _ZGTSV if _C128 in dtypes else _DGTSV
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all_finite(*arrays):
+        raise ValueError("tridiagonal system must not contain infs or NaNs")
+
+
+def _gtsv(gtsv, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+          rhs: np.ndarray, overwrite: int) -> np.ndarray:
+    """x of the checked system; with `overwrite`, gtsv may destroy the bands
+    and write x into rhs's storage."""
+    *_, x, info = gtsv(lower, diag, upper, rhs, overwrite, overwrite, overwrite, overwrite)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -187,19 +215,37 @@ def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndar
     columns.  Same routine and contract as scipy's (1, 1)-banded solver:
     ValueError on non-finite input, LinAlgError when T is singular.  The
     arrays are float64 or complex128 (zgtsv if any is complex): TypeError
-    on any other dtype, so no input drops to single precision."""
-    dtypes = {off.dtype, diag.dtype, rhs.dtype}
-    if not dtypes <= {_F64, _C128}:
-        raise TypeError("tridiag_solve takes float64 or complex128 arrays, got "
-                        + ", ".join(sorted(map(str, dtypes))))
-    if not _all_finite(off, diag, rhs):
-        raise ValueError("tridiagonal system must not contain infs or NaNs")
-    *_, x, info = (_ZGTSV if _C128 in dtypes else _DGTSV)(off, diag, off, rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x
+    on any other dtype, so no input drops to single precision.  The inputs
+    are left as they are."""
+    gtsv = _gtsv_for(off, diag, rhs)
+    _require_finite(off, diag, rhs)
+    return _gtsv(gtsv, off, diag, off, rhs, 0)
+
+
+class TridiagBand:
+    """The off-diagonal `off` of a run of symmetric tridiagonal systems that
+    share it, as a time stepper's Cayley matrices at one step size do.  It
+    is checked once, here, as tridiag_solve checks it, and kept as a
+    read-only copy next to the two scratch copies that each solve destroys."""
+
+    def __init__(self, off: np.ndarray):
+        _gtsv_for(off)
+        _require_finite(off)
+        self.off = off.copy()
+        self.off.flags.writeable = False
+        self._lower, self._upper = np.empty_like(off), np.empty_like(off)
+
+    def solve_inplace(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """tridiag_solve(off, diag, rhs), with its TypeError, ValueError and
+        LinAlgError, but solved in place: gtsv overwrites `diag` and writes x
+        into the storage of `rhs`, which it returns, when diag and rhs have
+        the routine's dtype and Fortran order, as 1-D contiguous arrays do
+        (else it works on copies of them)."""
+        gtsv = _gtsv_for(self.off, diag, rhs)
+        _require_finite(diag, rhs)
+        np.copyto(self._lower, self.off)
+        np.copyto(self._upper, self.off)
+        return _gtsv(gtsv, self._lower, diag, self._upper, rhs, 1)
 
 
 def scaled_tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray,

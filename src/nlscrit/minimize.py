@@ -158,6 +158,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     constraint is reported via boundary_hit instead of being "solved".
     Converged means residual < tol * max(1, |E|) in the H^-1 norm.
     """
+    cst.require_grid_dim(params, grid)
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
@@ -256,6 +257,7 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
     (mu t^(N - q(N-2)/2), a / t^2) does, so m_a is that of the dilated problem
     and every other number belongs to params.  Returns the last solve's
     report; final.grid is the grid it ran on."""
+    cst.require_grid_dim(params, grid)
     if thresholds is None:
         thresholds = cst.thresholds(params)
     init = None
@@ -275,6 +277,7 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
     ||grad u||^2 = rho0, mass a: each profile's energy there is
     psi(sqrt(rho0 / ||grad u||^2)) of its fiber map, the energy of its exact
     dilation."""
+    cst.require_grid_dim(params, grid)
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
@@ -301,6 +304,7 @@ def subadditivity_check(params: cst.ProblemParams, grid: RadialGrid, a1: float,
                         tol: float = 1e-8) -> SubadditivityReport:
     """Compare m_a with m_a1 + m_(a-a1) by three independent solves, each
     through minimize_in_domain."""
+    cst.require_grid_dim(params, grid)
     if not (0.0 < a1 < params.a):
         raise ValueError("a1 must lie strictly between 0 and a")
     m = {}

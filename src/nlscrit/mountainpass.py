@@ -50,6 +50,7 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
     origin blend).  Norms on that grid scale as the fiber map's, so the
     profile's energy is psi(tau_minus) and its Pohozaev value is 0, both up
     to rounding; nothing is interpolated."""
+    cst.require_grid_dim(params, grid)
     rep = fnl.fiber_critical_points(params, grid, u, thresholds=thresholds)
     if rep.tau_minus is None:
         raise fnl.RegimeError(
@@ -169,6 +170,7 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     converged minimizer on `grid` (minimize_in_domain's, on its final.grid);
     an upper bound for the least energy on the positive Pohozaev branch,
     checked against the strict window (0, m_a + S^(N/2)/N)."""
+    cst.require_grid_dim(params, grid)
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
@@ -244,6 +246,7 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     hit rounding noise already at moderate cutoff radii, since the excess
     decays like exp(-2 kappa n).
     """
+    cst.require_grid_dim(params, grid)
     _require_critical(params)
     n_values = sorted(float(v) for v in n_values)
     if not n_values:
@@ -331,6 +334,7 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
     exact norm algebra) to mass a and unit L^q norm, after which the
     kinetic excess equals A_n identically.
     """
+    cst.require_grid_dim(params, grid)
     _require_critical(params)
     A_values = [float(x) for x in A_values]
     if not A_values or not all(0.0 < x < math.inf for x in A_values):
@@ -425,6 +429,7 @@ def omega2_positivity_probe(params: cst.ProblemParams, grid: RadialGrid,
     smallest level found and, for the lowest witnesses, how close their
     kinetic norm is to rho0 and how close they are to Gagliardo-Nirenberg
     optimality (the mechanism that forces levels near zero)."""
+    cst.require_grid_dim(params, grid)
     if thresholds is None:
         thresholds = cst.thresholds(params)
     if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):

@@ -518,6 +518,9 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["profile", "--dim", "5", "--q", "3.2", "--a", "1.0", "--grid-n", "16", "--r-max", "1e4",
      "--grading", "1", "--kind", "weinstein"],
     ["sweep", "--mu-range", "1:inf:1", "--a-rel-range", "0.9:1.1:2"],
+    # t_end / dt overflows
+    ["evolve", "--init", "ok.csv", "--a", "1.0", "--grid-n", "256", "--r-max", "10",
+     "--dt", "1e-300", "--t-end", "1e10"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):

@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import nlscrit as nc
-from nlscrit import profiles
+from nlscrit import dynamics, functionals, minimize, mountainpass, profiles
 from nlscrit.constants import Regime, energy_lower_bound, parse_q
 from nlscrit.functionals import energy, fiber_norms
 
@@ -68,6 +69,43 @@ def test_q_class_is_one_float_rule():
         assert nc.ProblemParams(3, parse_q(text), 1.0, 1.0).ex.q_class == "critical"
     assert nc.ProblemParams(3, parse_q("3"), 1.0, 1.0).ex.q_class == "subcritical"
     assert nc.ProblemParams(3, parse_q("7/2"), 1.0, 1.0).ex.q_class == "supercritical"
+
+
+# every public function that takes (params, grid), with its arguments after
+# them; U stands for a profile on the grid
+U = object()
+TAKES_PARAMS_AND_GRID = {
+    functionals: {"fiber_norms": (U,), "energy": (U,), "pohozaev": (U,),
+                  "lagrange_multiplier": (U,), "fiber_critical_points": (U,)},
+    minimize: {"minimize_local": (), "minimize_in_domain": (), "boundary_scan": (4,),
+               "subadditivity_check": (0.5,)},
+    mountainpass: {"project_to_pohozaev_minus": (U,), "estimate_mp_level": (),
+                   "cpo_sequence_case1": ([1.0],), "cpo_sequence_case2": ([1.0],),
+                   "omega2_positivity_probe": (4,)},
+    dynamics: {"evolve": (U, 1e-3, 1e-2), "stability_probe": (U, 0.1, 1e-2),
+               "blowup_probe": (U, 1.05, 1e-2)},
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, name) for m, names in
+                                          TAKES_PARAMS_AND_GRID.items() for name in names])
+def test_params_and_grid_of_another_dimension_are_refused(module, name):
+    params = nc.ProblemParams(4, 2.5, 1.0, 1.0)
+    grid = nc.make_grid(3, 30.0, 256)
+    u = nc.Profile(grid, np.exp(-grid.nodes**2).astype(complex if module is dynamics else float))
+    args = [u if a is U else a for a in TAKES_PARAMS_AND_GRID[module][name]]
+    kwargs = {"minimizer": None} if name == "estimate_mp_level" else {}
+    with pytest.raises(ValueError, match="dimension 4 but the grid has dimension 3"):
+        getattr(module, name)(params, grid, *args, **kwargs)
+
+
+def test_every_function_of_params_and_grid_is_checked():
+    for module, names in TAKES_PARAMS_AND_GRID.items():
+        found = {name for name, fn in vars(module).items()
+                 if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                 and not name.startswith("_")
+                 and list(inspect.signature(fn).parameters)[:2] == ["params", "grid"]}
+        assert found == set(names), module.__name__
 
 
 @pytest.mark.parametrize("dim", [3, 4])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ def test_evolve_argument_validation(params_half, dyn_grid):
         dyn.evolve(params_half, dyn_grid, psi0, dt=1e-3, t_end=0.0)
     with pytest.raises(ValueError):
         dyn.blowup_probe(params_half, dyn_grid, psi0, -1.0, 1.0)
+    # 1e10 / 1e-300 overflows: no step count, so no attempt budget
+    with pytest.raises(ValueError, match=r"t_end = 10000000000\.0, dt = 1e-300"):
+        dyn.evolve(params_half, dyn_grid, psi0, dt=1e-300, t_end=1e10)
 
 
 def dense_cayley_step(params, grid, psi, ups, dt):
@@ -189,3 +193,103 @@ def test_resolution_cap_refusals_are_counted(params_half, dyn_grid):
                    dt=6.0 * cap_dt, t_end=6.0 * cap_dt, stride=1)
     assert s.refused_steps["resolution_cap"] == 3
     assert s.steps == 8 and not s.blowup_flag
+
+
+def _power_alloc(rho, e):
+    if e == 2.0:
+        return rho * rho
+    if e == 1.0:
+        return rho
+    if e == 0.5:
+        return np.sqrt(rho)
+    if e == 0.25:
+        return np.sqrt(np.sqrt(rho))
+    return rho ** e
+
+
+class AllocatingStepper(_RelaxationStepper):
+    """The step as written before the workspace: every quantity a fresh array."""
+
+    def potential(self, rho):
+        if self.linear:
+            return np.zeros_like(rho)
+        ex, mu = self.params.ex, self.params.mu
+        with np.errstate(under="ignore"):
+            return (_power_alloc(rho, ex.two_star / 2.0 - 1.0)
+                    + mu * _power_alloc(rho, self.params.q / 2.0 - 1.0))
+
+    def density_potential(self, psi):
+        return self.potential((psi * psi.conj()).real)
+
+    def grad_l2_sq(self, psi):
+        return nc.grad_l2_sq(self.grid, psi)
+
+    def step(self, psi, ups, dt):
+        ups_new = 2.0 * self.density_potential(psi) - ups
+        top = float(np.max(np.abs(ups_new)))
+        if not math.isfinite(top):
+            return self._refuse("nonfinite")
+        if not self.linear and dt * top > dyn.RESOLUTION_CAP:
+            return self._refuse("resolution_cap")
+        W = self.grid.full_weights
+        diag, off = self.grid.stiffness_bands()
+        idt2 = 0.5j * dt
+        try:
+            x = nc.grid.tridiag_solve(idt2 * off, (W + idt2 * diag) - (idt2 * W) * ups_new,
+                                      W * psi)
+        except np.linalg.LinAlgError:
+            return self._refuse("singular")
+        new = 2.0 * x - psi
+        if not np.isfinite(new).all():
+            return self._refuse("nonfinite")
+        return new, ups_new
+
+
+def assert_same_summary(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and np.array_equal(value, other), name
+        else:
+            assert value == other, name
+
+
+def test_workspace_steps_are_the_allocating_steps_bit_for_bit(
+        params_half, dyn_grid, dyn_minimizer, focus_grid, focus_witness, monkeypatch):
+    # a narrow gaussian collapses: its steps are retried after growth refusals
+    g = nc.make_grid(3, 30.0, 2048, origin_blend=0.05)
+    narrow = nc.Profile(g, nc.gaussian(params_half, 0.5, g).values.astype(complex))
+    runs = {
+        "collapse": lambda: dyn.evolve(params_half, g, narrow, 1e-3, 0.05),
+        "blowup": lambda: dyn.blowup_probe(params_half, focus_grid, focus_witness[1],
+                                           1.05, 10.0, dt=1e-3, stride=10).summary,
+        "stability": lambda: dyn.stability_probe(params_half, dyn_grid,
+                                                 dyn_minimizer.final, 1e-2, 1.0).summary,
+        "linear": lambda: dyn.evolve(params_half, dyn_grid, dyn_minimizer.final, 1e-3, 0.2,
+                                     linear=True),
+    }
+    got = {key: run() for key, run in runs.items()}
+    assert got["collapse"].refused_steps["growth"] > 0
+    assert got["blowup"].refused_steps["resolution_cap"] > 0
+    monkeypatch.setattr(dyn, "_RelaxationStepper", AllocatingStepper)
+    for key, run in runs.items():
+        assert_same_summary(got[key], run())
+
+
+def test_accepted_steps_allocate_no_grid_array(params_half):
+    g = nc.make_grid(3, 30.0, 8192, origin_blend=0.5)
+    psi = (0.5 * np.exp(-g.nodes**2 / 4.0)).astype(complex)
+    st = _RelaxationStepper(params_half, g, False)
+    ups = st.density_potential(psi)
+    psi, ups = st.step(psi, ups, 1e-3)    # builds the bands of this step size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            psi, ups = st.step(psi, ups, 1e-3)
+            st.grad_l2_sq(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.refused == dict.fromkeys(REFUSAL_REASONS, 0)
+    assert peak - before < 8 * g.n     # less than one real grid array

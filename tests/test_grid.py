@@ -14,8 +14,8 @@ from scipy.linalg import solve_banded
 
 import nlscrit as nc
 from nlscrit import grid as grid_mod
-from nlscrit.grid import (pchip, lq_norm_pow, profile_from_dict, profile_to_dict,
-                          tridiag_solve)
+from nlscrit.grid import (TridiagBand, pchip, lq_norm_pow, profile_from_dict,
+                          profile_to_dict, tridiag_solve)
 
 
 def gauss_profile(grid, sigma=1.0):
@@ -250,6 +250,42 @@ def test_tridiag_solve_nonfinite_wins_and_returns_gtsv_x():
     rhs = rng.standard_normal((n, 2)) + 0j
     ab = np.vstack([np.concatenate([[0.0], off]), diag, np.concatenate([off, [0.0]])])
     assert np.array_equal(tridiag_solve(off, diag, rhs), solve_banded((1, 1), ab, rhs))
+
+
+def test_band_solve_inplace_is_tridiag_solve_in_rhs_storage():
+    for o, diag, _, rhs in tridiag_systems():
+        x_ref = tridiag_solve(o, diag, rhs)
+        band = TridiagBand(o)
+        for _ in range(2):      # the band survives its solves
+            d, b = diag.copy(), rhs.copy()
+            x = band.solve_inplace(d, b)
+            assert np.array_equal(x, x_ref)
+            if d.dtype == b.dtype == band.off.dtype and b.flags.f_contiguous:
+                assert np.shares_memory(x, b)
+        assert np.array_equal(band.off, o) and not band.off.flags.writeable
+
+
+def test_band_solve_inplace_has_the_errors_of_tridiag_solve():
+    n = 16
+    off, diag, rhs = np.ones(n - 1), np.full(n, 4.0), np.ones(n)
+    for i, dtype in enumerate([np.float32, np.complex64, np.int64]):
+        with pytest.raises(TypeError):
+            TridiagBand(off.astype(dtype))
+        args = [diag, rhs]
+        args[i % 2] = args[i % 2].astype(dtype)
+        with pytest.raises(TypeError):
+            TridiagBand(off).solve_inplace(*args)
+    bad = off.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError):
+        TridiagBand(bad)
+    for i in range(2):
+        args = [diag.copy(), rhs.copy()]
+        args[i][3] = np.inf
+        with pytest.raises(ValueError):
+            TridiagBand(off).solve_inplace(*args)
+    with pytest.raises(np.linalg.LinAlgError):
+        TridiagBand(np.zeros(n - 1)).solve_inplace(np.zeros(n), rhs.copy())
 
 
 def test_rescale_identity_and_errors():
