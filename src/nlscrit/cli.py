@@ -188,6 +188,15 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
     }
 
 
+def _domain_diagnostics(rep: minmod.SolveReport) -> dict:
+    """The grid minimize_in_domain solved on: its r_max, how many grids it
+    solved on, and the decay lengths r_max sqrt(-lambda) it holds (0 when
+    lambda >= 0)."""
+    r_max = rep.final.grid.r_max
+    return {"r_max": r_max, "solves": rep.solves,
+            "decay_lengths": r_max * math.sqrt(max(-rep.lam, 0.0))}
+
+
 def _cmd_minimize(args: argparse.Namespace) -> dict:
     rep = minmod.minimize_in_domain(_resolve_mass(args), _make_grid(args), args.tol)
     g = rep.final.grid
@@ -198,7 +207,7 @@ def _cmd_minimize(args: argparse.Namespace) -> dict:
         "boundary_hit": rep.boundary_hit, "converged": rep.converged,
         "grad_l2_sq": gridmod.grad_l2_sq(g, rep.final),
         "trace": _downsample(rep.trace),
-        "diagnostics": {"r_max": g.r_max},
+        "diagnostics": _domain_diagnostics(rep),
     }
 
 
@@ -232,7 +241,7 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
             "family_size": size, "admitted": len(est.family_trace),
             "refused": size - len(est.family_trace),
             "witness_level_gap": abs(witness_energy - est.level) / abs(est.level),
-            "r_max": g.r_max},
+            **_domain_diagnostics(rep)},
     }
     if args.witness_out:
         gridmod.save_profile(args.witness_out, est.witness)

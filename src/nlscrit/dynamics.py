@@ -40,7 +40,7 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from .grid import (Profile, RadialGrid, TridiagBand, all_finite, lq_norm_pow, mass,
-                   rescale)
+                   require_on_grid, rescale)
 
 RESOLUTION_CAP = 0.5      # largest accepted dt * max|potential|
 GROWTH_TRIGGER = 1.05     # kinetic-norm growth in one step that halves dt
@@ -211,12 +211,15 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
     allowed to recover on calm stretches; if it collapses below DT_MIN, or
     the kinetic norm grows beyond BLOWUP_FACTOR, the blow-up indicator is
     raised.  `linear` disables the nonlinear potentials (free propagation);
-    it exists for validation against exactly solvable dynamics.
+    it exists for validation against exactly solvable dynamics.  psi0 and
+    the reference must live on `grid` itself.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt must be finite: t_end = {t_end!r}, dt = {dt!r}")
+    for u in (psi0,) if reference is None else (psi0, reference):
+        require_on_grid(grid, u)
     stepper = _RelaxationStepper(params, grid, linear)
     psi = psi0.values.astype(complex)
     ups = stepper.density_potential(psi)
@@ -317,7 +320,9 @@ def stability_probe(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                     eps: float, t_end: float, dt: float = 2e-3) -> StabilityReport:
     """Evolve a bump-perturbed standing-wave profile and track the phase-
     modulated H^1 distance to it.  psi0 = (1 + eps exp(-r^2)) u and the
-    reference u are both renormalized to mass a; eps may be negative."""
+    reference u are both renormalized to mass a; eps may be negative.  u
+    must live on `grid` itself."""
+    require_on_grid(grid, u)
     vals = (1.0 + eps * np.exp(-grid.nodes ** 2)) * u.values
     with np.errstate(over="ignore"):
         m, m_u = mass(grid, vals), mass(grid, u)
@@ -347,7 +352,9 @@ def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
                  stride: int = 10) -> BlowupReport:
     """Evolve the dilated datum v_tau, tau = amplification > 1 pushes the
     profile past its fiber maximum onto the descending branch; the kinetic
-    norm is then monitored for the blow-up indicator."""
+    norm is then monitored for the blow-up indicator.  v must live on `grid`
+    itself."""
+    require_on_grid(grid, v)
     if amplification <= 0.0:
         raise ValueError("amplification must be positive")
     w = rescale(v, amplification)

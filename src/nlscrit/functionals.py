@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cst
-from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass
+from .grid import Profile, RadialGrid, grad_l2_sq, lq_norm_pow, mass, require_on_grid
 
 MASS_RTOL = 1e-6
 FIBER_SAMPLES = 512    # log-spaced tau of the critical-q scan and the `fiber` table
@@ -60,11 +60,10 @@ class FiberNorms:
 
 
 def fiber_norms(params: cst.ProblemParams, grid: RadialGrid, u: Profile) -> FiberNorms:
-    """The norms of u on `grid`, which must be u's own grid: another grid
-    with the same n would give wrong norms without any error."""
+    """The norms of u on `grid`, which must be u's own grid
+    (`require_on_grid`)."""
     cst.require_grid_dim(params, grid)
-    if u.grid is not grid:
-        raise ValueError("the profile lives on another grid")
+    require_on_grid(grid, u)
     return FiberNorms(grad2=grad_l2_sq(grid, u),
                       crit=lq_norm_pow(grid, u, params.ex.two_star),
                       sub=lq_norm_pow(grid, u, params.q),
@@ -215,6 +214,13 @@ def fiber_upper_root(params: cst.ProblemParams, nm: FiberNorms):
     return brentq(red, peak, hi), red, lo, peak
 
 
+def fiber_roots(params: cst.ProblemParams, nm: FiberNorms) -> tuple[float, float]:
+    """(tau_plus, tau_minus) below the mass-critical exponent, from the norms
+    alone: `fiber_upper_root`, then the lower root in its bracket."""
+    tau_m, red, lo, peak = fiber_upper_root(params, nm)
+    return brentq(red, lo, peak), tau_m
+
+
 def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                           thresholds: cst.Thresholds | None = None) -> FiberReport:
     """Locate the dilation parameters where P(u_tau) = 0.
@@ -262,8 +268,7 @@ def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profil
             "no two-root fiber structure is available above the threshold curve "
             "(regime Omega3); refuse rather than guess")
 
-    tau_m, red, lo, peak = fiber_upper_root(params, nm)
-    tau_p = brentq(red, lo, peak)
+    tau_p, tau_m = fiber_roots(params, nm)
     return FiberReport(tau_plus=tau_p, tau_minus=tau_m,
                        e_at_tau_plus=psi_value(params, nm, tau_p),
                        e_at_tau_minus=psi_value(params, nm, tau_m),

@@ -278,6 +278,13 @@ class Profile:
         return np.iscomplexobj(self.values)
 
 
+def require_on_grid(grid: RadialGrid, u: Profile) -> None:
+    """ValueError unless u lives on `grid` itself: another grid with the same
+    n would give wrong norms without any error."""
+    if u.grid is not grid:
+        raise ValueError("the profile lives on another grid")
+
+
 def make_grid(dim: int, r_max: float, n: int, grading: float = 0.0,
               origin_blend: float = 0.0) -> RadialGrid:
     """Build the graded Gauss grid.  n is rounded down to an even count."""

@@ -49,6 +49,7 @@ STEP_MAX = 4.0
 ARMIJO = 1e-4
 SHIFT_MIN = 1e-8          # the preconditioner's shift is max(-lambda, SHIFT_MIN)
 BALL_MARGIN = 0.9         # the initial profile is dilated below this * rho0
+SEED_FIT = 5.0            # the default seed's width is at most r_max / SEED_FIT
 
 
 @dataclass
@@ -62,6 +63,7 @@ class SolveReport:
     trace: list = field(repr=False)   # (iteration, E, P, grad2)
     boundary_hit: bool
     converged: bool
+    solves: int = 1                   # grids minimize_in_domain solved on
 
 
 def _norms(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
@@ -93,6 +95,44 @@ def _residual(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray, lam: f
     F = grid.stiffness_apply(u) - grid.full_weights * (_nonlinear(params, u) + lam * u)
     off = grid.stiffness_bands()[1]
     return F, math.sqrt(float(np.dot(F, tridiag_solve(off, h1_diag, F))))
+
+
+def gaussian_norms(params: cst.ProblemParams, sigma: float) -> fnl.FiberNorms:
+    """The norms of the mass-a gaussian of width sigma (`profiles.gaussian`)
+    in closed form: ||grad g||^2 = a N / (2 sigma^2) and int |g|^p =
+    c^p (2 pi sigma^2 / p)^(N/2), c = sqrt(a) / (pi^(N/4) sigma^(N/2)), the
+    powers taken through logs, since c^p can overflow where the product
+    does not."""
+    N, a = params.dim, params.a
+    log_s = math.log(sigma)
+    log_c = 0.5 * math.log(a) - 0.25 * N * math.log(math.pi) - 0.5 * N * log_s
+
+    def power_integral(p: float) -> float:
+        return math.exp(p * log_c + 0.5 * N * (math.log(2.0 * math.pi / p) + 2.0 * log_s))
+
+    return fnl.FiberNorms(0.5 * a * N * math.exp(-2.0 * log_s),
+                          power_integral(params.ex.two_star), power_integral(params.q), a)
+
+
+def seed_width(params: cst.ProblemParams) -> float:
+    """sigma+ = 1 / tau+: the width of the mass-a gaussian at its own fiber
+    minimum, since the dilation by tau of the width-1 gaussian has width
+    1 / tau.  In regimes Omega1/Omega2 that minimum lies inside the kinetic
+    ball (N. Soave, J. Funct. Anal. 279, 2020)."""
+    return 1.0 / fnl.fiber_roots(params, gaussian_norms(params, 1.0))[0]
+
+
+def _admissible(params: cst.ProblemParams, grid: RadialGrid,
+                thresholds: cst.Thresholds | None) -> cst.Thresholds:
+    """The thresholds at params, refusing (RegimeError) outside Omega1/Omega2
+    and a grid of another dimension."""
+    cst.require_grid_dim(params, grid)
+    if thresholds is None:
+        thresholds = cst.thresholds(params)
+    if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
+        raise fnl.RegimeError(
+            f"local minimization requires regime Omega1 or Omega2, got {thresholds.regime}")
+    return thresholds
 
 
 def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
@@ -153,22 +193,19 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
 
     Admissible only on or below the threshold curve (regimes Omega1/Omega2)
     where the local minimum exists at negative level with a negative
-    multiplier.  The ball constraint is enforced by step rejection plus
-    dilation retraction; it must be inactive at convergence, so an active
-    constraint is reported via boundary_hit instead of being "solved".
+    multiplier.  The default init is the mass-a gaussian at its fiber
+    minimum (`seed_width`), narrowed where needed to width r_max / SEED_FIT
+    so that it fits the grid.  The ball constraint is enforced by step
+    rejection plus dilation retraction; it must be inactive at convergence,
+    so an active constraint is reported via boundary_hit instead of being
+    "solved".
     Converged means residual < tol * max(1, |E|) in the H^-1 norm.
     """
-    cst.require_grid_dim(params, grid)
-    if thresholds is None:
-        thresholds = cst.thresholds(params)
-    if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
-        raise fnl.RegimeError(
-            f"local minimization requires regime Omega1 or Omega2, got {thresholds.regime}")
-    rho0 = thresholds.rho0
+    rho0 = _admissible(params, grid, thresholds).rho0
     a = params.a
 
     if init is None:
-        init = profiles.gaussian(params, 1.0, grid)
+        init = profiles.gaussian(params, min(seed_width(params), grid.r_max / SEED_FIT), grid)
     u = _project_into_ball(params, grid, init, rho0).values.astype(float)
 
     W = grid.full_weights
@@ -244,28 +281,42 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                        converged=converged and not boundary_hit)
 
 
+def _stretch(lam: float, r_max: float) -> float:
+    """The factor of r_max that puts ten decay lengths 10/sqrt(-lam) at half
+    of it; 4 when lam >= 0."""
+    return 4.0 if lam >= 0.0 else 20.0 / (math.sqrt(-lam) * r_max)
+
+
 def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float = 1e-8,
                        thresholds: cst.Thresholds | None = None) -> SolveReport:
     """minimize_local at params, on a wider grid when the minimizer outgrows
     this one.
 
-    A solve with lambda >= 0, or with ten decay lengths 10/sqrt(-lambda)
-    beyond r_max, is repeated from its resampled minimizer on the grid with
-    r_max stretched by t, at most 4 times: t = 4 when lambda >= 0, else t puts
-    ten decay lengths at r_max / 2.  Stretching the nodes by t scales the
-    weights by t^N and the stiffness by t^(N-2), as the dilation of (mu, a) to
+    Before the first solve, a grid that cannot hold the default seed
+    (r_max < SEED_FIT sigma+) is stretched by the rule below, with the seed's
+    closed-form lambda, and at least until the seed fits.  A solve with
+    lambda >= 0, or with ten decay lengths 10/sqrt(-lambda) beyond r_max, is
+    repeated from its resampled minimizer on the grid with r_max stretched by
+    t, at most 4 times: t = 4 when lambda >= 0, else t puts ten decay lengths
+    at r_max / 2.  Stretching the nodes by t scales the weights by t^N and
+    the stiffness by t^(N-2), as the dilation of (mu, a) to
     (mu t^(N - q(N-2)/2), a / t^2) does, so m_a is that of the dilated problem
     and every other number belongs to params.  Returns the last solve's
-    report; final.grid is the grid it ran on."""
-    cst.require_grid_dim(params, grid)
-    if thresholds is None:
-        thresholds = cst.thresholds(params)
+    report, with the number of grids solved on in `solves`; final.grid is
+    the grid it ran on."""
+    thresholds = _admissible(params, grid, thresholds)
+    sigma = seed_width(params)
+    if grid.r_max < SEED_FIT * sigma:
+        lam = gaussian_norms(params, sigma).lagrange_multiplier(params)
+        t = max(_stretch(lam, grid.r_max), SEED_FIT * sigma / grid.r_max)
+        grid = make_grid(grid.dim, t * grid.r_max, grid.n, grid.grading, grid.origin_blend)
     init = None
     for attempt in range(5):
         rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
         if attempt == 4 or (rep.lam < 0.0 and 10.0 / math.sqrt(-rep.lam) <= grid.r_max):
+            rep.solves = attempt + 1
             return rep
-        t = 4.0 if rep.lam >= 0.0 else 20.0 / (math.sqrt(-rep.lam) * grid.r_max)
+        t = _stretch(rep.lam, grid.r_max)
         grid = make_grid(grid.dim, t * grid.r_max, grid.n, grid.grading, grid.origin_blend)
         init = resample(rep.final, grid)
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -126,6 +127,25 @@ def test_minimize_descent_shift_follows_lambda(capsys):
     doc = json.loads(out)
     assert doc["converged"] is True and doc["lambda"] < -1.0
     assert doc["iterations"] < 100
+
+
+def test_minimize_on_the_dilation_orbit_of_the_readme_point(capsys):
+    # (mu, a/a0) = (1e4, 0.5) lies on the README point's dilation orbit, with
+    # decay length 0.0124: on r_max 0.5 it gives the README m_a.  A width-1
+    # gaussian seed could not be dilated into the kinetic ball here
+    docs = []
+    for mu, r_max in (("1", "50"), ("1e4", "0.5")):
+        code, out = run_cli(["minimize", "--dim", "3", "--q", "2.5", "--mu", mu,
+                             "--a", "0.5a0", "--r-max", r_max], capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+    readme, orbit = docs
+    assert orbit["converged"] is True
+    assert orbit["energy"] == pytest.approx(readme["energy"], rel=1e-6)
+    for doc in docs:
+        diag = doc["diagnostics"]
+        assert diag["solves"] == 1
+        assert diag["decay_lengths"] == diag["r_max"] * math.sqrt(-doc["lambda"])
 
 
 def test_cpo_case2_command(capsys):
@@ -349,9 +369,9 @@ def test_sweep_empty_lattice_is_usage_error(capsys):
 
 @pytest.mark.parametrize("args, accepted", [
     (["--dim", "3", "--q", "2.5", "--mu", "1", "--a", "0.5a0"], True),
-    # the minimizer's decay length 127 outgrows r_max 50, so it is solved on
-    # r_max ~ 255 with the same 256 nodes: the level is not accepted, but the
-    # witness, exact on its own grid, still carries it
+    # the seed (width 23.1) does not fit r_max 50, so the minimizer is solved
+    # on r_max ~ 247 with the same 256 nodes: the level is not accepted, but
+    # the witness, exact on its own grid, still carries it
     (["--grid-n", "256", "--dim", "5", "--q", "2.4", "--a", "0.2"], False),
 ])
 def test_mountain_pass_diagnostics(args, accepted, capsys):
@@ -386,9 +406,11 @@ def test_every_command_reports_one_m_a(tmp_path, capsys):
     energy = docs["minimize"]["energy"]
     assert energy < 0.0 and docs["minimize"]["lambda"] < 0.0
     assert docs["subadd"]["m_a"] == docs["mountain-pass"]["m_a"] == float(m_a) == energy
-    r_max = docs["minimize"]["diagnostics"]["r_max"]
-    assert r_max > 30.0
-    assert docs["mountain-pass"]["diagnostics"]["r_max"] == r_max
+    diag = docs["minimize"]["diagnostics"]
+    assert diag["r_max"] > 30.0 and diag["solves"] >= 1
+    assert diag["decay_lengths"] >= 10.0
+    for key in ("r_max", "solves", "decay_lengths"):
+        assert docs["mountain-pass"]["diagnostics"][key] == diag[key]
     # the witness file holds u_{tau_minus} on its own grid, at the level
     w = gridmod.load_profile(str(witness))
     params = cst.ProblemParams(3, 3.2, 1.0, gridmod.mass(w.grid, w))

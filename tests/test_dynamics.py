@@ -293,3 +293,20 @@ def test_accepted_steps_allocate_no_grid_array(params_half):
         tracemalloc.stop()
     assert st.refused == dict.fromkeys(REFUSAL_REASONS, 0)
     assert peak - before < 8 * g.n     # less than one real grid array
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, g, u: dyn.evolve(p, g, u, dt=1e-3, t_end=1e-2),
+    lambda p, g, u: dyn.evolve(p, g, nc.Profile(g, u.values), dt=1e-3, t_end=1e-2,
+                               reference=u),
+    lambda p, g, u: dyn.stability_probe(p, g, u, 1e-2, 1e-2),
+    lambda p, g, u: dyn.blowup_probe(p, g, u, 1.05, 1e-2),
+], ids=["evolve", "evolve-reference", "stability_probe", "blowup_probe"])
+def test_profile_on_another_grid_is_refused(run):
+    # same dimension and n, another r_max: the norms would be taken on nodes
+    # the profile was never sampled on (a mass-1 gaussian recorded mass 0.037)
+    params = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    wide, narrow = nc.make_grid(3, 30.0, 256, 0.0, 0.5), nc.make_grid(3, 10.0, 256, 0.0, 0.5)
+    u = nc.Profile(wide, nc.gaussian(params, 1.0, wide).values.astype(complex))
+    with pytest.raises(ValueError, match="the profile lives on another grid"):
+        run(params, narrow, u)

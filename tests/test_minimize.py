@@ -218,3 +218,70 @@ def test_newton_converges_on_the_w0_core(rel, grid6):
     assert rep.energy < 0.0 and rep.lam < 0.0
     assert abs(rep.pohozaev) < 1e-6 * abs(rep.energy)   # discrete P is not exact
     assert nc.mass(grid6, rep.final) == pytest.approx(params.a, rel=1e-12)
+
+
+ATLAS_PAIRS = [(3, 2.5), (3, 3.2), (4, 2.5), (5, 2.4), (6, 2.2)]
+
+
+@pytest.mark.parametrize("dim, sigma", [(3, 2.0), (6, 3.0)])
+def test_gaussian_norms_closed_form(dim, sigma):
+    params = nc.ProblemParams(dim, 2.2 if dim == 6 else 2.5, 1.0, 0.7)
+    g = nc.make_grid(dim, 12.0 * sigma, 16384)
+    want = fnl.fiber_norms(params, g, profiles.gaussian(params, sigma, g))
+    got = mn.gaussian_norms(params, sigma)
+    for name in ("grad2", "crit", "sub", "mass"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-6), name
+
+
+def test_gaussian_norms_past_the_range_of_c_to_the_p():
+    # at sigma = 1e40, N = 3, c^6 ~ 1e-360 underflows while int |g|^6 ~ 1e-240
+    # does not: the norms still scale as the dilation by 1/sigma does
+    params = nc.ProblemParams(3, 2.5, 1.0, 0.7)
+    one, wide = mn.gaussian_norms(params, 1.0), mn.gaussian_norms(params, 1e40)
+    ex = params.ex
+    assert wide.grad2 == pytest.approx(one.grad2 * 1e-80, rel=1e-12)
+    assert wide.crit == pytest.approx(one.crit * 1e40 ** -ex.two_star, rel=1e-12)
+    assert wide.sub == pytest.approx(one.sub * 1e40 ** -ex.q_gamma_q, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
+@pytest.mark.parametrize("rel", [0.5, 1.0])
+def test_seed_sits_at_its_fiber_minimum_inside_the_ball(dim, q, rel):
+    params, thr = _point(dim, q, rel=rel)
+    sigma = mn.seed_width(params)
+    g = nc.make_grid(dim, 10.0 * sigma, 8192)
+    seed = profiles.gaussian(params, sigma, g)
+    rep = fnl.fiber_critical_points(params, g, seed, thresholds=thr)
+    assert rep.tau_plus == pytest.approx(1.0, abs=1e-3)
+    assert rep.norms.grad2 < mn.BALL_MARGIN * thr.rho0
+
+
+@pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
+def test_default_seed_needs_no_retraction(dim, q, monkeypatch):
+    def refused(*args):
+        raise AssertionError("the default seed was resampled into the ball")
+
+    monkeypatch.setattr(mn, "rescale", refused)
+    for rel in (0.5, 1.0):
+        params, thr = _point(dim, q, rel=rel)
+        assert mn.minimize_in_domain(params, nc.make_grid(dim, 50.0, 2048),
+                                     thresholds=thr).converged
+
+
+@pytest.mark.parametrize("q, most", [(2.5, 1), (3.2, 2)])
+def test_seed_grid_saves_the_outgrown_solve(q, most, monkeypatch):
+    # at (3, 3.2) the minimizer outgrows r_max = 50: the grid is stretched to
+    # the seed before the first solve instead of after it
+    calls = []
+    solve = mn.minimize_local
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].r_max)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mn, "minimize_local", counted)
+    params, thr = _point(3, q)
+    rep = mn.minimize_in_domain(params, nc.make_grid(3, 50.0, 8192), thresholds=thr)
+    assert rep.converged
+    assert rep.solves == len(calls) <= most
+    assert rep.final.grid.r_max == calls[-1]
