@@ -315,7 +315,11 @@ def _cmd_evolve(args: argparse.Namespace):
            "grad_norm": summary.grad_norm}
     if summary.h1_distance is not None:
         doc["h1_distance"] = summary.h1_distance
-    doc["diagnostics"] = {"steps": summary.steps, "refused_steps": summary.refused_steps}
+    dr_min = float(np.min(np.diff(g.nodes)))
+    doc["diagnostics"] = {"steps": summary.steps, "refused_steps": summary.refused_steps,
+                          "grid": {"n": g.n, "r_max": g.r_max,
+                                   "origin_blend": g.origin_blend, "dr_min": dr_min},
+                          "dt_over_dr_min_sq": dt / dr_min ** 2}
     return doc
 
 

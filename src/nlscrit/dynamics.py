@@ -260,8 +260,12 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
     while t < t_end - 1e-12:
         attempts += 1
         if attempts > max_attempts:
-            raise RuntimeError("time stepping exceeded the attempt budget; "
-                               "the step size may be collapsing")
+            refused = ", ".join(f"{k} {v}" for k, v in stepper.refused.items())
+            raise RuntimeError(
+                f"time stepping exceeded the attempt budget of {max_attempts} attempts "
+                f"at t = {t:.6g} of t_end = {t_end:.6g}: {steps} steps taken, "
+                f"dt now {cur_dt:.6g}, refused attempts: {refused}; "
+                "the step size may be collapsing")
         h = min(cur_dt, t_end - t)
         out = stepper.step(psi, ups, h)
         if out is not None:

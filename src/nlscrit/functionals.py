@@ -10,7 +10,8 @@ points are the roots of phi(tau) = tau psi'(tau) = P(u_tau).  Below the
 mass-critical exponent and in the admissible regimes the root structure is
 a pair tau_plus < tau_minus (local min at negative level, global max at
 nonnegative level); at the mass-critical exponent there is either one root
-(a maximum) or none.  psi_value and phi_value also take arrays of tau.
+(a maximum) or none.  psi_value and phi_value also take arrays of tau,
+and they and fiber_upper_root take norms whose fields are arrays.
 """
 
 from __future__ import annotations
@@ -178,47 +179,118 @@ class FiberReport:
     norms: FiberNorms                  # of u, which psi and its roots depend on
 
 
+FIBER_REFUSALS = (   # why `fiber_upper_root` refuses an entry, in the order it checks
+    "fiber map has no root although the regime guarantees two; "
+    "the profile may be under-resolved on this grid",
+    "no lower fiber root above tau = 1e-14",
+    "no upper fiber root below tau = 1e14",
+)
+FIBER_ROOT_MAXITER = 100   # Newton steps of `fiber_upper_root` before it gives up
+_EPS4 = 4.0 * np.finfo(float).eps   # its stopping step, relative to tau
+
+
 def _reduced(params, nm):
-    """phi(tau) / tau^(q gamma_q): increases to a single peak, then falls."""
+    """phi(tau) / tau^(q gamma_q): increases to a single peak, then falls.
+    Scalar: the map whose lower root Brent's method solves."""
     ex = params.ex
     ts, gq = ex.two_star, ex.q_gamma_q
 
     def red(tau: float) -> float:
         return (nm.grad2 * tau ** (2.0 - gq) - nm.crit * tau ** (ts - gq)
                 - params.mu * ex.gamma_q * nm.sub)
-    peak = ((2.0 - gq) * nm.grad2 / ((ts - gq) * nm.crit)) ** (1.0 / (ts - 2.0))
-    return red, peak
+    return red
 
 
 def fiber_upper_root(params: cst.ProblemParams, nm: FiberNorms):
     """The two-root step of `fiber_critical_points` below the mass-critical
-    exponent, from the norms alone: bracket both roots of the reduced fiber
-    map, refusing (StructuralAnomalyError) where the map has no root or a
-    bracket runs out of [1e-14, 1e14], and solve for the upper root.
-    Returns (tau_minus, red, lo, peak); the lower root lies in [lo, peak]."""
-    red, peak = _reduced(params, nm)
-    if red(peak) <= 0.0:
-        raise StructuralAnomalyError(
-            "fiber map has no root although the regime guarantees two; "
-            "the profile may be under-resolved on this grid")
-    lo = peak
-    while red(lo) > 0.0:
-        lo /= 2.0
-        if lo < 1e-14:
-            raise StructuralAnomalyError("no lower fiber root above tau = 1e-14")
-    hi = peak
-    while red(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e14:
-            raise StructuralAnomalyError("no upper fiber root below tau = 1e14")
-    return brentq(red, peak, hi), red, lo, peak
+    exponent, from the norms alone.  The fields of `nm` are floats or
+    arrays of one shape; every entry goes through the same elementwise
+    arithmetic, so its results do not depend on the other entries.
+
+    Per entry: bracket both roots of the reduced fiber map by halving and
+    doubling from its peak, refusing where the map has no root or a bracket
+    runs out of [1e-14, 1e14] (FIBER_REFUSALS, checked in that order), and
+    solve the upper root in [peak, hi] by Newton steps from hi, bisecting
+    where a step leaves the bracket.  The map is concave there, so the
+    steps approach the root from hi; each entry stops once its Newton step
+    is at most 4 eps tau (or its bracket is that narrow).
+
+    Returns (tau_minus, lo, peak, reason); the lower root lies in [lo, peak].
+    reason is None where the entry is admitted, else its refusal message,
+    and tau_minus is NaN there.  Floats for float norms, else arrays of
+    their shape.  RuntimeError if an entry takes FIBER_ROOT_MAXITER steps."""
+    ex = params.ex
+    ts, gq = ex.two_star, ex.q_gamma_q
+    shape = np.shape(nm.grad2)
+    # 1-d even for one entry: numpy hands 0-d results to its scalar math,
+    # whose pow rounds differently from the array loops.  The exponents are
+    # 0-d arrays, which numpy need not convert at every power.
+    g, c, h = (np.asarray(x, dtype=float).reshape(-1) for x in (nm.grad2, nm.crit, nm.sub))
+    al, be = np.array(2.0 - gq), np.array(ts - gq)
+    k = params.mu * ex.gamma_q * h
+
+    def red(tau: np.ndarray) -> np.ndarray:
+        return g * tau ** al - c * tau ** be - k
+
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        peak = (al * g / (be * c)) ** (1.0 / (ts - 2.0))
+        ok = red(peak) > 0.0
+        lo, hi = peak.copy(), peak.copy()
+        walk = ok.copy()
+        while np.count_nonzero(walk):
+            np.multiply(lo, 0.5, out=lo, where=walk)
+            walk &= lo >= 1e-14
+            walk &= red(lo) > 0.0
+        no_lo = ok & (lo < 1e-14)
+        walk = ok & ~no_lo
+        while np.count_nonzero(walk):
+            np.multiply(hi, 2.0, out=hi, where=walk)
+            walk &= hi <= 1e14
+            walk &= red(hi) > 0.0
+        no_hi = ok & ~no_lo & (hi > 1e14)
+        admitted = ok & ~no_lo & ~no_hi
+
+        a, b, tau = peak.copy(), hi.copy(), hi.copy()   # red(a) > 0 >= red(b)
+        tau[~admitted] = np.nan
+        active = admitted
+        for _ in range(FIBER_ROOT_MAXITER):
+            if not np.count_nonzero(active):
+                break
+            ga, cb = g * tau ** al, c * tau ** be
+            f = ga - cb - k
+            step = f * tau / (al * ga - be * cb)   # red / red'
+            pos = f > 0.0
+            np.copyto(a, tau, where=pos)
+            np.copyto(b, tau, where=~pos)
+            new = tau - step
+            tol = _EPS4 * tau
+            done = np.abs(step) <= tol
+            # a step that does not land strictly inside the bracket bisects
+            # it, so the bracket shrinks at every step that does not stop
+            np.copyto(new, 0.5 * (a + b), where=~(done | ((new > a) & (new < b))))
+            np.copyto(tau, new, where=active)
+            active = active & ~done & (b - a > tol)
+        else:
+            if np.count_nonzero(active):
+                raise RuntimeError(f"fiber root step did not converge in "
+                                   f"{FIBER_ROOT_MAXITER} Newton steps")
+    reason = np.full(g.shape, None, dtype=object)
+    for refused, message in zip((~ok, no_lo, no_hi), FIBER_REFUSALS):
+        reason[refused] = message
+    if not shape:
+        return float(tau[0]), float(lo[0]), float(peak[0]), reason[0]
+    return (tau.reshape(shape), lo.reshape(shape), peak.reshape(shape),
+            reason.reshape(shape))
 
 
 def fiber_roots(params: cst.ProblemParams, nm: FiberNorms) -> tuple[float, float]:
     """(tau_plus, tau_minus) below the mass-critical exponent, from the norms
-    alone: `fiber_upper_root`, then the lower root in its bracket."""
-    tau_m, red, lo, peak = fiber_upper_root(params, nm)
-    return brentq(red, lo, peak), tau_m
+    alone: `fiber_upper_root`, then the lower root in its bracket by Brent's
+    method.  StructuralAnomalyError with the refusal message."""
+    tau_m, lo, peak, reason = fiber_upper_root(params, nm)
+    if reason is not None:
+        raise StructuralAnomalyError(reason)
+    return brentq(_reduced(params, nm), lo, peak), tau_m
 
 
 def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profile,

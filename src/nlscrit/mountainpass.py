@@ -100,45 +100,53 @@ class LevelEstimate:
 
 def _family_norms(params: cst.ProblemParams, grid: RadialGrid,
                   family: MPFamilySpec, umin: np.ndarray):
-    """(b, bubble values, s, FiberNorms of w) for each trial
-    w = c (umin + s bubble_b), c^2 = a / ||umin + s bubble_b||^2, in family
-    order.  The bubble vanishes beyond 2 * cutoff_radius, so the norms are
-    the tail of umin, integrated once, plus one power-and-product pass over
-    the bubble's support per block of MP_BLOCK amplitudes; ||grad w||^2 is
-    the quadratic c^2 (g_uu + 2 s g_ub + s^2 g_bb) of three stiffness forms."""
+    """(bubbles, norms): the bubble values of each width, and the FiberNorms
+    of the trials w = c (umin + s bubble_b), c^2 = a / ||umin + s bubble_b||^2,
+    as (widths x amplitudes) arrays in family order.  The bubble vanishes
+    beyond 2 * cutoff_radius, so int |w|^ts and int |w|^q are the tail of
+    umin, integrated once, plus one pass over the bubble's support per
+    block of MP_BLOCK amplitudes, whose two powers come from one log |v| and
+    two exp: |v|^p = exp(p log |v|).  ||umin + s bubble_b||^2 and
+    ||grad w||^2 = c^2 (g_uu + 2 s g_ub + s^2 g_bb) are quadratics in s of
+    three inner products each."""
     ts, q = params.ex.two_star, params.q
     k = grid.interval_stiffness
     m = int(np.count_nonzero(grid.nodes < 2.0 * family.cutoff_radius))
-    W, tail, Wt = grid.full_weights[:m], umin[m:], grid.full_weights[m:]
-    tail_m2 = float(np.dot(Wt, tail * tail))
-    tail_crit = float(np.dot(Wt, np.abs(tail) ** ts))
-    tail_sub = float(np.dot(Wt, np.abs(tail) ** q))
+    W, head = grid.full_weights[:m], umin[:m]
+    Wt, tail = grid.full_weights[m:], np.abs(umin[m:])
+    tail_crit, tail_sub = float(np.dot(Wt, tail ** ts)), float(np.dot(Wt, tail ** q))
+    m_uu = float(np.dot(grid.full_weights, umin * umin))
     du = np.diff(np.append(umin, 0.0))
     g_uu = float(np.dot(k, du * du))
     amps = np.asarray(family.amplitudes, dtype=float)
-    # the block and its powers, written in place: two buffers per call
+    shape = (len(family.bubble_widths), len(amps))
+    m2, grad2, crit, sub = (np.empty(shape) for _ in range(4))
+    # the block, its logs and powers, written in place: two buffers per call
     buf = np.empty((2, min(MP_BLOCK, len(amps)), m))
-    for b in family.bubble_widths:
+    bubbles = []
+    for i, b in enumerate(family.bubble_widths):
         bub = profiles.cutoff_profile(
             profiles.aubin_talenti(b, grid), family.cutoff_radius).values
+        bubbles.append(bub)
         db = np.diff(np.append(bub, 0.0))
         g_ub, g_bb = float(np.dot(k, du * db)), float(np.dot(k, db * db))
+        m_ub, m_bb = float(np.dot(W, head * bub[:m])), float(np.dot(W, bub[:m] * bub[:m]))
+        m2[i] = m_uu + 2.0 * amps * m_ub + amps * amps * m_bb
+        grad2[i] = g_uu + 2.0 * amps * g_ub + amps * amps * g_bb
         for start in range(0, len(amps), MP_BLOCK):
-            s = amps[start:start + MP_BLOCK]
+            cols = slice(start, start + MP_BLOCK)
+            s = amps[cols]
             v, pw = buf[:, :len(s)]
             np.multiply(s[:, None], bub[:m], out=v)
-            v += umin[:m]
-            m2 = np.multiply(v, v, out=pw) @ W + tail_m2
-            np.abs(v, out=v)
-            crit = np.power(v, ts, out=pw) @ W + tail_crit
-            sub = np.power(v, q, out=pw) @ W + tail_sub
-            c2 = params.a / m2
-            grad2 = c2 * (g_uu + 2.0 * s * g_ub + s * s * g_bb)
-            crit = c2 ** (ts / 2.0) * crit
-            sub = c2 ** (q / 2.0) * sub
-            for j, sj in enumerate(family.amplitudes[start:start + MP_BLOCK]):
-                yield b, bub, sj, fnl.FiberNorms(grad2=float(grad2[j]), crit=float(crit[j]),
-                                                 sub=float(sub[j]), mass=params.a)
+            v += head
+            with np.errstate(divide="ignore"):   # log 0 = -inf, whose exp is 0
+                np.log(np.abs(v, out=v), out=v)
+            crit[i, cols] = np.exp(np.multiply(v, ts, out=pw), out=pw) @ W
+            sub[i, cols] = np.exp(np.multiply(v, q, out=pw), out=pw) @ W
+    c2 = params.a / m2
+    return bubbles, fnl.FiberNorms(grad2=c2 * grad2,
+                                   crit=c2 ** (ts / 2.0) * (crit + tail_crit),
+                                   sub=c2 ** (q / 2.0) * (sub + tail_sub), mass=params.a)
 
 
 def _family_levels(params: cst.ProblemParams, grid: RadialGrid,
@@ -146,19 +154,22 @@ def _family_levels(params: cst.ProblemParams, grid: RadialGrid,
     """(trace, failures, best): the projected energy psi(tau_minus) of each
     admitted trial as ((b, s), level) in family order, the (b, s, reason)
     of each trial that `fnl.fiber_upper_root` refuses, and the (bubble
-    values, s) of the lowest level, or None when every trial is refused."""
+    values, s) of the lowest level, or None when every trial is refused.
+    One call of the root step solves every trial."""
+    bubbles, nm = _family_norms(params, grid, family, umin)
+    tau_m, _, _, reason = fnl.fiber_upper_root(params, nm)
+    levels = fnl.psi_value(params, nm, tau_m)
     trace, failures = [], []
     best, low = None, math.inf
-    for b, bub, s, nm in _family_norms(params, grid, family, umin):
-        try:
-            tau_m = fnl.fiber_upper_root(params, nm)[0]
-        except fnl.StructuralAnomalyError as exc:
-            failures.append((b, s, str(exc)))
-            continue
-        lev = fnl.psi_value(params, nm, tau_m)
-        trace.append(((b, s), lev))
-        if lev < low:
-            best, low = (bub, s), lev
+    for i, b in enumerate(family.bubble_widths):
+        for j, s in enumerate(family.amplitudes):
+            if reason[i, j] is not None:
+                failures.append((b, s, reason[i, j]))
+                continue
+            lev = float(levels[i, j])
+            trace.append(((b, s), lev))
+            if lev < low:
+                best, low = (bubbles[i], s), lev
     return trace, failures, best
 
 

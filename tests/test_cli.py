@@ -3,10 +3,12 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nlscrit import cli
@@ -244,13 +246,36 @@ def test_evolve_command_json_and_csv(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["probe"] == "none" and not doc["blowup_flag"]
     assert len(doc["times"]) == len(doc["mass"]) == len(doc["energy"])
+    g = gridmod.load_profile(str(prof)).grid
+    dr_min = float(np.min(np.diff(g.nodes)))
     assert doc["diagnostics"] == {"steps": 25, "refused_steps": {
-        "resolution_cap": 0, "growth": 0, "nonfinite": 0, "singular": 0}}
+        "resolution_cap": 0, "growth": 0, "nonfinite": 0, "singular": 0},
+        "grid": {"n": 2048, "r_max": 30.0, "origin_blend": 0.5, "dr_min": dr_min},
+        "dt_over_dr_min_sq": 2e-3 / dr_min ** 2}
+    assert list(doc["diagnostics"]) == ["steps", "refused_steps", "grid",
+                                        "dt_over_dr_min_sq"]
     code, out_csv = run_cli(args + ["--csv"], capsys)
     assert code == 0
     lines = out_csv.strip().splitlines()
     assert lines[0] == "t,mass,energy,grad_norm,h1_distance"
     assert len(lines) > 2
+
+
+def test_evolve_attempt_budget_error_document(tmp_path, capsys):
+    prof = tmp_path / "narrow.json"
+    run_cli(["profile", "--kind", "gaussian", "--sigma", "0.2", "--dim", "3",
+             "--q", "2.5", "--mu", "1", "--a", "0.5a0", "--grid-n", "128",
+             "--r-max", "30", "--origin-blend", "0.02", "--out", str(prof)], capsys)
+    code, out = run_cli(["evolve", "--init", str(prof), "--dim", "3", "--q", "2.5",
+                         "--dt", "1e-3", "--t-end", "0.01"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] == "RuntimeError"
+    assert re.fullmatch(r"time stepping exceeded the attempt budget of 10500 attempts "
+                        r"at t = \S+ of t_end = 0\.01: \d+ steps taken, dt now \S+, "
+                        r"refused attempts: resolution_cap [1-9]\d*, growth \d+, "
+                        r"nonfinite \d+, singular \d+; the step size may be collapsing",
+                        doc["message"]), doc["message"]
 
 
 def test_plain_evolve_resolves_no_mass(tmp_path, capsys):

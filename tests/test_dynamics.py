@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,28 @@ def test_resolution_cap_refusals_are_counted(params_half, dyn_grid):
                    dt=6.0 * cap_dt, t_end=6.0 * cap_dt, stride=1)
     assert s.refused_steps["resolution_cap"] == 3
     assert s.steps == 8 and not s.blowup_flag
+
+
+BUDGET_ERROR = re.compile(
+    r"time stepping exceeded the attempt budget of (\d+) attempts at t = (\S+) of "
+    r"t_end = 0\.01: (\d+) steps taken, dt now (\S+), refused attempts: "
+    r"resolution_cap (\d+), growth (\d+), nonfinite (\d+), singular (\d+); "
+    r"the step size may be collapsing")
+
+
+def test_attempt_budget_error_says_why(params_half):
+    # fine cells at the origin under a narrow gaussian: the resolution cap
+    # holds dt far below what t_end needs, and the message says so
+    g = nc.make_grid(3, 30.0, 128, origin_blend=0.02)
+    with pytest.raises(RuntimeError) as exc:
+        dyn.evolve(params_half, g, nc.gaussian(params_half, 0.2, g), dt=1e-3, t_end=0.01)
+    m = BUDGET_ERROR.fullmatch(str(exc.value))
+    assert m, str(exc.value)
+    budget, t, steps, dt_now, *refused = m.groups()
+    assert int(budget) == 50 * 10 + 10000
+    assert int(steps) + sum(map(int, refused)) == int(budget)   # one count per attempt
+    assert 0.0 < float(t) < 0.01
+    assert float(dt_now) < 1e-6 and int(refused[0]) > 0
 
 
 def _power_alloc(rho, e):

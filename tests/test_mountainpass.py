@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 import nlscrit as nc
 from nlscrit import constants as cst
@@ -162,6 +164,94 @@ def test_blocked_family_refuses_the_loop_refusals(base325, a0_325, soliton_grid,
     assert want_trace and want_refused
     assert [(b, s) for b, s, _ in failures] == want_refused
     assert_same_trace(trace, want_trace)
+
+
+ATLAS_PAIRS = [(3, "2.5"), (3, "3.2"), (4, "2.5"), (5, "2.4"), (6, "2.2")]
+
+
+@functools.lru_cache(maxsize=None)
+def atlas_family_norms(dim, q):
+    """(params, norms) of the default family around the minimizer at
+    a = a0/2 on the n = 2048 grid of `test_blocked_family_matches_fiber_loop`."""
+    unit = nc.ProblemParams(dim, cst.parse_q(q), 1.0, 1.0)
+    params = unit.with_mass(0.5 * nc.critical_mass_a0(unit, nc.sobolev_constant(dim),
+                                                       nc.gn_constant(unit)))
+    g = nc.make_grid(dim, 50.0, 2048)
+    minimizer = mn.minimize_local(params, g, thresholds=nc.thresholds(params))
+    return params, mp._family_norms(params, g, mp.MPFamilySpec(), minimizer.final.values)[1]
+
+
+def entry(params, nm, idx):
+    return fnl.FiberNorms(float(nm.grad2[idx]), float(nm.crit[idx]), float(nm.sub[idx]),
+                          params.a)
+
+
+@pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
+def test_root_step_is_batch_invariant(dim, q):
+    # each trial's tau_minus and brackets do not depend on the other trials
+    params, nm = atlas_family_norms(dim, q)
+    assert nm.grad2.shape == (4, 64)
+    tau, lo, peak, reason = fnl.fiber_upper_root(params, nm)
+    for idx in np.ndindex(nm.grad2.shape):
+        one = fnl.fiber_upper_root(params, entry(params, nm, idx))
+        assert one == (tau[idx], lo[idx], peak[idx], None)
+        assert reason[idx] is None
+
+
+@pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
+def test_root_step_matches_scipy_brentq(dim, q):
+    # the oracle brackets the falling branch of the reduced fiber map
+    # g t^(2-qg) - c t^(ts-qg) - mu gamma_q h on its own and solves it
+    params, nm = atlas_family_norms(dim, q)
+    ex = params.ex
+    al, be = 2.0 - ex.q_gamma_q, ex.two_star - ex.q_gamma_q
+    tau = fnl.fiber_upper_root(params, nm)[0]
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(nm.grad2.shape):
+        g, c, h = float(nm.grad2[idx]), float(nm.crit[idx]), float(nm.sub[idx])
+
+        def red(t, g=g, c=c, h=h):
+            return g * t ** al - c * t ** be - params.mu * ex.gamma_q * h
+        top = (al * g / (be * c)) ** (1.0 / (be - al))
+        hi = 2.0 * top
+        while red(hi) > 0.0:
+            hi *= 2.0
+        want = scipy_brentq(red, top, hi, xtol=1e-300, rtol=8.9e-16)
+        assert abs(tau[idx] - want) <= 4.0 * eps * want
+
+
+def test_root_step_refuses_per_entry():
+    # three admitted trials around three built to hit each refusal in turn:
+    # no root (the subcritical term swamps the peak), no lower root above
+    # 1e-14 (no subcritical term) and no upper root below 1e14 (a critical
+    # term so small that the peak lies past 1e14)
+    params, nm = atlas_family_norms(3, "2.5")
+    (g0, g1, g2), (c0, c1, c2), (h0, h1, h2) = nm.grad2[0, :3], nm.crit[0, :3], nm.sub[0, :3]
+    g, c, h = np.array([(g0, c0, h0), (g0, c0, 1e6 * h0), (g1, c1, 0.0),
+                        (g1, 1e-200 * c1, h1), (g1, c1, h1), (g2, c2, h2)]).T
+    mixed = fnl.FiberNorms(g, c, h, params.a)
+    tau, _, _, reason = fnl.fiber_upper_root(params, mixed)
+    assert list(reason[[1, 2, 3]]) == list(fnl.FIBER_REFUSALS)
+    for i in (1, 2, 3):
+        with pytest.raises(fnl.StructuralAnomalyError) as exc:
+            fnl.fiber_roots(params, entry(params, mixed, i))
+        assert str(exc.value) == reason[i]
+        assert math.isnan(tau[i])
+    keep = [0, 4, 5]
+    admitted = fnl.fiber_upper_root(params, fnl.FiberNorms(g[keep], c[keep], h[keep],
+                                                           params.a))
+    assert list(reason[keep]) == [None] * 3
+    assert np.array_equal(tau[keep], admitted[0])
+
+
+@pytest.mark.parametrize("family", [mp.MPFamilySpec(amplitudes=()),
+                                    mp.MPFamilySpec(bubble_widths=())],
+                         ids=["no-amplitudes", "no-widths"])
+def test_empty_family_has_no_admissible_projection(family, params_half, soliton_grid,
+                                                   minimizer_half, thr_half):
+    with pytest.raises(RuntimeError, match="family produced no admissible projection"):
+        mp.estimate_mp_level(params_half, soliton_grid, family, minimizer=minimizer_half,
+                             thresholds=thr_half)
 
 
 def test_cpo_case1_sequence():
