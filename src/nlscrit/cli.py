@@ -532,7 +532,7 @@ def main(argv=None) -> int:
         result = args.func(args)
         _write(result if isinstance(result, str) else _document(result), args.out)
         return 0
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         error = _document({"schema_version": SCHEMA_VERSION,
                            "error_kind": getattr(exc, "kind", type(exc).__name__),
                            "message": str(exc), "context": {"command": args.command}})

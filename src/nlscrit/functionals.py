@@ -11,12 +11,14 @@ mass-critical exponent and in the admissible regimes the root structure is
 a pair tau_plus < tau_minus (local min at negative level, global max at
 nonnegative level); at the mass-critical exponent there is either one root
 (a maximum) or none.  psi_value and phi_value also take arrays of tau,
-and they and fiber_upper_root take norms whose fields are arrays.
+and they and fiber_root_step take norms whose fields are arrays.
+`newton_root`, the bracketed Newton step that solves both fiber roots, is
+the package's one root finder; `mountainpass.cpo_sequence_case2` solves its
+amplitudes with it too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,61 +85,6 @@ def lagrange_multiplier(params: cst.ProblemParams, grid: RadialGrid, u: Profile)
     return fiber_norms(params, grid, u).lagrange_multiplier(params)
 
 
-def brentq(f, a: float, b: float) -> float:
-    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), step for step as
-    scipy.optimize.brentq's C routine, so the roots agree to the last bit.
-    It stops once the bracket is below 1e-300 + 8.9e-16 |x| (8.9e-16 is
-    about 4 eps, the tightest relative tolerance scipy accepts).  ValueError
-    when f(a) and f(b) have the same sign or f returns NaN, RuntimeError
-    after 100 iterations."""
-    xtol, rtol, maxiter = 1e-300, 8.9e-16, 100
-
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:          # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                     # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 # ---------------------------------------------------------------------------
 # fiber maps as functions of tau, given the norms of the base profile
 
@@ -179,46 +126,69 @@ class FiberReport:
     norms: FiberNorms                  # of u, which psi and its roots depend on
 
 
-FIBER_REFUSALS = (   # why `fiber_upper_root` refuses an entry, in the order it checks
+FIBER_REFUSALS = (   # why `fiber_root_step` refuses an entry, in the order it checks
     "fiber map has no root although the regime guarantees two; "
     "the profile may be under-resolved on this grid",
     "no lower fiber root above tau = 1e-14",
     "no upper fiber root below tau = 1e14",
 )
-FIBER_ROOT_MAXITER = 100   # Newton steps of `fiber_upper_root` before it gives up
-_EPS4 = 4.0 * np.finfo(float).eps   # its stopping step, relative to tau
+FIBER_ROOT_MAXITER = 100   # Newton steps of `newton_root` before it gives up
+_EPS4 = 4.0 * np.finfo(float).eps   # its stopping step, relative to x
 
 
-def _reduced(params, nm):
-    """phi(tau) / tau^(q gamma_q): increases to a single peak, then falls.
-    Scalar: the map whose lower root Brent's method solves."""
-    ex = params.ex
-    ts, gq = ex.two_star, ex.q_gamma_q
+def newton_root(f_step, a: np.ndarray, b: np.ndarray, x: np.ndarray,
+                left_pos: np.ndarray) -> np.ndarray:
+    """Roots of f in the brackets [a, b] by Newton steps from x, entry by
+    entry: f_step(x) returns (f, f / f') at every entry of x, and left_pos is
+    True where f > 0 at a (a falling map), False where f <= 0 there (a
+    rising one).  Each step replaces the bracket end whose sign f has at x,
+    and a step that does not land strictly inside the bracket bisects it, so
+    the bracket shrinks at every step that does not stop.  An entry stops
+    once its step is at most 4 eps |x| (or its bracket is that narrow).
 
-    def red(tau: float) -> float:
-        return (nm.grad2 * tau ** (2.0 - gq) - nm.crit * tau ** (ts - gq)
-                - params.mu * ex.gamma_q * nm.sub)
-    return red
+    Entries where x is NaN are left as they are.  ValueError where f is NaN
+    at an entry still running, RuntimeError if an entry takes
+    FIBER_ROOT_MAXITER steps."""
+    a, b, x = a.copy(), b.copy(), x.copy()
+    active = ~np.isnan(x)
+    for _ in range(FIBER_ROOT_MAXITER):
+        if not np.count_nonzero(active):
+            return x
+        f, step = f_step(x)
+        if np.count_nonzero(np.isnan(f) & active):
+            raise ValueError("the map is NaN inside a root bracket; "
+                             "the root step cannot continue")
+        left = (f > 0.0) == left_pos
+        np.copyto(a, x, where=left)
+        np.copyto(b, x, where=~left)
+        new = x - step
+        tol = _EPS4 * np.abs(x)
+        done = np.abs(step) <= tol
+        np.copyto(new, 0.5 * (a + b), where=~(done | ((new > a) & (new < b))))
+        np.copyto(x, new, where=active)
+        active &= ~done & (b - a > tol)
+    if np.count_nonzero(active):
+        raise RuntimeError(f"root step did not converge in {FIBER_ROOT_MAXITER} Newton steps")
+    return x
 
 
-def fiber_upper_root(params: cst.ProblemParams, nm: FiberNorms):
-    """The two-root step of `fiber_critical_points` below the mass-critical
-    exponent, from the norms alone.  The fields of `nm` are floats or
-    arrays of one shape; every entry goes through the same elementwise
-    arithmetic, so its results do not depend on the other entries.
+def fiber_root_step(params: cst.ProblemParams, nm: FiberNorms):
+    """Both fiber roots below the mass-critical exponent, from the norms
+    alone.  The fields of `nm` are floats or arrays of one shape; every
+    entry goes through the same elementwise arithmetic, so its results do
+    not depend on the other entries.
 
-    Per entry: bracket both roots of the reduced fiber map by halving and
-    doubling from its peak, refusing where the map has no root or a bracket
-    runs out of [1e-14, 1e14] (FIBER_REFUSALS, checked in that order), and
-    solve the upper root in [peak, hi] by Newton steps from hi, bisecting
-    where a step leaves the bracket.  The map is concave there, so the
-    steps approach the root from hi; each entry stops once its Newton step
-    is at most 4 eps tau (or its bracket is that narrow).
+    Per entry: bracket both roots of the reduced fiber map
+    phi(tau) / tau^(q gamma_q), which rises to a single peak and then falls,
+    by halving and doubling from its peak, refusing where the map has no
+    root or a bracket runs out of [1e-14, 1e14] (FIBER_REFUSALS, checked in
+    that order).  One `newton_root` call then solves every entry's lower
+    root in [lo, peak] from lo and its upper root in [peak, hi] from hi.
+    Where the map is concave, the steps approach each root from its start.
 
-    Returns (tau_minus, lo, peak, reason); the lower root lies in [lo, peak].
-    reason is None where the entry is admitted, else its refusal message,
-    and tau_minus is NaN there.  Floats for float norms, else arrays of
-    their shape.  RuntimeError if an entry takes FIBER_ROOT_MAXITER steps."""
+    Returns (tau_minus, tau_plus, peak, reason).  reason is None where the
+    entry is admitted, else its refusal message, and both roots are NaN
+    there.  Floats for float norms, else arrays of their shape."""
     ex = params.ex
     ts, gq = ex.two_star, ex.q_gamma_q
     shape = np.shape(nm.grad2)
@@ -250,47 +220,31 @@ def fiber_upper_root(params: cst.ProblemParams, nm: FiberNorms):
         no_hi = ok & ~no_lo & (hi > 1e14)
         admitted = ok & ~no_lo & ~no_hi
 
-        a, b, tau = peak.copy(), hi.copy(), hi.copy()   # red(a) > 0 >= red(b)
-        tau[~admitted] = np.nan
-        active = admitted
-        for _ in range(FIBER_ROOT_MAXITER):
-            if not np.count_nonzero(active):
-                break
+        def step(tau: np.ndarray):
             ga, cb = g * tau ** al, c * tau ** be
             f = ga - cb - k
-            step = f * tau / (al * ga - be * cb)   # red / red'
-            pos = f > 0.0
-            np.copyto(a, tau, where=pos)
-            np.copyto(b, tau, where=~pos)
-            new = tau - step
-            tol = _EPS4 * tau
-            done = np.abs(step) <= tol
-            # a step that does not land strictly inside the bracket bisects
-            # it, so the bracket shrinks at every step that does not stop
-            np.copyto(new, 0.5 * (a + b), where=~(done | ((new > a) & (new < b))))
-            np.copyto(tau, new, where=active)
-            active = active & ~done & (b - a > tol)
-        else:
-            if np.count_nonzero(active):
-                raise RuntimeError(f"fiber root step did not converge in "
-                                   f"{FIBER_ROOT_MAXITER} Newton steps")
+            return f, f * tau / (al * ga - be * cb)   # red / red'
+
+        # row 0 the lower roots, row 1 the upper: red(lo) <= 0 < red(peak) > 0 >= red(hi)
+        tau_p, tau_m = newton_root(step, np.array([lo, peak]), np.array([peak, hi]),
+                                   np.where(admitted, [lo, hi], np.nan),
+                                   np.array([[False], [True]]))
     reason = np.full(g.shape, None, dtype=object)
     for refused, message in zip((~ok, no_lo, no_hi), FIBER_REFUSALS):
         reason[refused] = message
     if not shape:
-        return float(tau[0]), float(lo[0]), float(peak[0]), reason[0]
-    return (tau.reshape(shape), lo.reshape(shape), peak.reshape(shape),
+        return float(tau_m[0]), float(tau_p[0]), float(peak[0]), reason[0]
+    return (tau_m.reshape(shape), tau_p.reshape(shape), peak.reshape(shape),
             reason.reshape(shape))
 
 
 def fiber_roots(params: cst.ProblemParams, nm: FiberNorms) -> tuple[float, float]:
-    """(tau_plus, tau_minus) below the mass-critical exponent, from the norms
-    alone: `fiber_upper_root`, then the lower root in its bracket by Brent's
-    method.  StructuralAnomalyError with the refusal message."""
-    tau_m, lo, peak, reason = fiber_upper_root(params, nm)
+    """(tau_plus, tau_minus) below the mass-critical exponent by
+    `fiber_root_step`; StructuralAnomalyError with its refusal message."""
+    tau_m, tau_p, _, reason = fiber_root_step(params, nm)
     if reason is not None:
         raise StructuralAnomalyError(reason)
-    return brentq(_reduced(params, nm), lo, peak), tau_m
+    return tau_p, tau_m
 
 
 def fiber_critical_points(params: cst.ProblemParams, grid: RadialGrid, u: Profile,

@@ -281,6 +281,11 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                        converged=converged and not boundary_hit)
 
 
+def _holds(lam: float, r_max: float) -> bool:
+    """Whether r_max holds ten decay lengths 10/sqrt(-lam)."""
+    return lam < 0.0 and 10.0 / math.sqrt(-lam) <= r_max
+
+
 def _stretch(lam: float, r_max: float) -> float:
     """The factor of r_max that puts ten decay lengths 10/sqrt(-lam) at half
     of it; 4 when lam >= 0."""
@@ -292,10 +297,11 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
     """minimize_local at params, on a wider grid when the minimizer outgrows
     this one.
 
-    Before the first solve, a grid that cannot hold the default seed
-    (r_max < SEED_FIT sigma+) is stretched by the rule below, with the seed's
-    closed-form lambda, and at least until the seed fits.  A solve with
-    lambda >= 0, or with ten decay lengths 10/sqrt(-lambda) beyond r_max, is
+    A grid holds a lambda when lambda < 0 and r_max holds ten decay lengths
+    10/sqrt(-lambda).  Before the first solve, a grid that does not hold the
+    default seed's closed-form lambda, or cannot hold the seed itself
+    (r_max < SEED_FIT sigma+), is stretched by the rule below, and at least
+    until the seed fits.  A solve whose lambda the grid does not hold is
     repeated from its resampled minimizer on the grid with r_max stretched by
     t, at most 4 times: t = 4 when lambda >= 0, else t puts ten decay lengths
     at r_max / 2.  Stretching the nodes by t scales the weights by t^N and
@@ -306,14 +312,14 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
     the grid it ran on."""
     thresholds = _admissible(params, grid, thresholds)
     sigma = seed_width(params)
-    if grid.r_max < SEED_FIT * sigma:
-        lam = gaussian_norms(params, sigma).lagrange_multiplier(params)
+    lam = gaussian_norms(params, sigma).lagrange_multiplier(params)
+    if not _holds(lam, grid.r_max) or grid.r_max < SEED_FIT * sigma:
         t = max(_stretch(lam, grid.r_max), SEED_FIT * sigma / grid.r_max)
         grid = make_grid(grid.dim, t * grid.r_max, grid.n, grid.grading, grid.origin_blend)
     init = None
     for attempt in range(5):
         rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
-        if attempt == 4 or (rep.lam < 0.0 and 10.0 / math.sqrt(-rep.lam) <= grid.r_max):
+        if attempt == 4 or _holds(rep.lam, grid.r_max):
             rep.solves = attempt + 1
             return rep
         t = _stretch(rep.lam, grid.r_max)

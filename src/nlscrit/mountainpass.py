@@ -30,7 +30,7 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import Profile, RadialGrid, grad_l2_sq, make_grid, mass
+from .grid import Profile, RadialGrid, make_grid, mass
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
@@ -153,11 +153,11 @@ def _family_levels(params: cst.ProblemParams, grid: RadialGrid,
                    family: MPFamilySpec, umin: np.ndarray):
     """(trace, failures, best): the projected energy psi(tau_minus) of each
     admitted trial as ((b, s), level) in family order, the (b, s, reason)
-    of each trial that `fnl.fiber_upper_root` refuses, and the (bubble
+    of each trial that `fnl.fiber_root_step` refuses, and the (bubble
     values, s) of the lowest level, or None when every trial is refused.
     One call of the root step solves every trial."""
     bubbles, nm = _family_norms(params, grid, family, umin)
-    tau_m, _, _, reason = fnl.fiber_upper_root(params, nm)
+    tau_m, _, _, reason = fnl.fiber_root_step(params, nm)
     levels = fnl.psi_value(params, nm, tau_m)
     trace, failures = [], []
     best, low = None, math.inf
@@ -341,9 +341,9 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
 
     For each offset A_n > 0, a profile with quotient
     M_n = (mu gamma_q + A_n) a^((q-2)/2) is found on the one-parameter
-    family Q + s * bump by bracketed root finding, then renormalized (in
-    exact norm algebra) to mass a and unit L^q norm, after which the
-    kinetic excess equals A_n identically.
+    family Q + s * bump by the bracketed Newton step `fnl.newton_root`,
+    then renormalized (in exact norm algebra) to mass a and unit L^q norm,
+    after which the kinetic excess equals A_n identically.
     """
     cst.require_grid_dim(params, grid)
     _require_critical(params)
@@ -355,15 +355,24 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
 
     Q = profiles.weinstein_ground_state(q, grid).values
     bump = _mollifier_bump(grid.nodes)
-    W = grid.full_weights
+    W, k = grid.full_weights, grid.interval_stiffness
+    db = np.diff(np.append(bump, 0.0))
 
-    def gn_quotient(vals: np.ndarray) -> float:
-        g2 = grad_l2_sq(grid, Profile(grid, vals))
-        m2 = float(np.dot(W, vals * vals))
-        hq = float(np.dot(W, np.abs(vals) ** q))
-        return g2 * m2 ** ((q - 2.0) / 2.0) / hq      # q*gamma_q = 2
+    def quotient(s: float) -> tuple[float, float]:
+        """The quotient g2 m2^((q-2)/2) / h_q of Q + s bump (q gamma_q = 2)
+        and its s-derivative, from the logarithmic derivatives of its factors."""
+        v = Q + s * bump
+        dv = np.diff(np.append(v, 0.0))
+        g2 = float(np.dot(k, dv * dv))                # grad_l2_sq, to the bit
+        m2 = float(np.dot(W, v * v))
+        hq = float(np.dot(W, np.abs(v) ** q))
+        val = g2 * m2 ** ((q - 2.0) / 2.0) / hq
+        dlog = (2.0 * float(np.dot(k, dv * db)) / g2
+                + (q - 2.0) * float(np.dot(W, v * bump)) / m2
+                - q * float(np.dot(W, np.abs(v) ** (q - 2.0) * v * bump)) / hq)
+        return val, val * dlog
 
-    f0 = gn_quotient(Q)                               # = 1 / C^q at the maximizer
+    f0 = quotient(0.0)[0]                             # = 1 / C^q at the maximizer
     # strict inequality regime required: M_n must exceed the minimum f0
     mass_comb = mu * a ** ((q - 2.0) / 2.0)
     abar_disc = q / 2.0 * f0
@@ -380,21 +389,23 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
         if M_n <= f0:
             raise fnl.RegimeError(f"target quotient {M_n:.6g} is below the minimum {f0:.6g}")
 
-        def objective(s: float) -> float:
-            return gn_quotient(Q + s * bump) - M_n
+        def step(s: np.ndarray):
+            val, slope = quotient(float(s[0]))
+            return val - M_n, (val - M_n) / slope
 
         s_hi = 1.0
-        val = objective(s_hi)
+        reached = quotient(s_hi)[0]
         grew = 0
-        while val < 0.0 and grew < 60:
+        while reached < M_n and grew < 60:
             s_hi *= 2.0
-            val = objective(s_hi)
+            reached = quotient(s_hi)[0]
             grew += 1
-        if val < 0.0:
-            reached = gn_quotient(Q + s_hi * bump)
+        if reached < M_n:
             raise RuntimeError(
                 f"could not bracket quotient {M_n:.6g}; family reaches only {reached:.6g}")
-        s_root = fnl.brentq(objective, 0.0, s_hi)
+        # from s_hi: at s = 0 the quotient is stationary (Q minimizes it)
+        s_root = float(fnl.newton_root(step, np.zeros(1), np.array([s_hi]),
+                                       np.array([s_hi]), np.zeros(1, dtype=bool))[0])
         nm = fnl.fiber_norms(params, grid, Profile(grid, Q + s_root * bump))
         # exact norm algebra of v(x) = alpha u(beta x)
         x = math.sqrt(nm.mass) / (math.sqrt(a) * nm.sub ** (1.0 / q))

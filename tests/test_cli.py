@@ -383,6 +383,22 @@ def test_sweep_unconverged_solve_is_row_error(capsys, monkeypatch):
     assert error == "RuntimeError: local minimization did not converge (residual 2.50e-01)"
 
 
+def test_memory_error_is_one_error_document(capsys, monkeypatch):
+    # a grid or lattice too large to allocate ends as an error document, not
+    # a traceback; the allocation itself is faked
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(gridmod, "make_grid", too_large)
+    code, out = run_cli(["minimize", "--dim", "3", "--q", "2.5", "--mu", "1",
+                         "--a", "0.5a0"] + FAST, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] == "MemoryError"
+    assert doc["message"] == "Unable to allocate 745. GiB"
+    assert doc["context"] == {"command": "minimize"}
+
+
 def test_sweep_empty_lattice_is_usage_error(capsys):
     code, out = run_cli(["sweep", "--dim", "3", "--q", "2.5",
                          "--mu-range", "1:1:1", "--a-rel-range", "0.5:1.5:0"],

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import brentq as scipy_brentq
 
 import nlscrit as nc
 from nlscrit import cli
@@ -273,43 +272,3 @@ def test_lagrange_multiplier_scaling_consistency(params_half, soliton_grid):
                  - params_half.mu * tau**ex.q_gamma_q * nm.sub) / nm.mass
     got = fnl.lagrange_multiplier(params_half, soliton_grid, nc.rescale(u, tau))
     assert got == pytest.approx(predicted, rel=1e-4)
-
-
-# (f, a, b): smooth, steep, nearly flat, and roots at either endpoint
-BRACKETS = [
-    (lambda x: x ** 3 - 2.0, 0.0, 2.0),
-    (lambda x: math.cos(x) - x, -1.0, 3.0),
-    (lambda x: math.tanh(60.0 * (x - 0.3)), -1.0, 2.0),
-    (lambda x: math.exp(40.0 * x) - 7.0, -1.0, 1.0),
-    (lambda x: 1e-3 * (x - 1.1) + (x - 1.1) ** 5, 0.0, 3.0),
-    (lambda x: 1e-12 * (x - 0.7) + 1e-200, 0.0, 1.0),
-    (lambda x: x * (x - 1.0), 0.0, 0.5),
-    (lambda x: x - 2.5, 1.0, 2.5),
-]
-
-
-@pytest.mark.parametrize("f, a, b", BRACKETS)
-def test_brentq_matches_scipy_to_the_bit(f, a, b):
-    calls = [0, 0]
-
-    def counted(k):
-        def g(x):
-            calls[k] += 1
-            return f(x)
-        return g
-    assert fnl.brentq(counted(0), a, b) == scipy_brentq(counted(1), a, b, xtol=1e-300,
-                                                        rtol=8.9e-16)
-    assert calls[0] == calls[1]
-
-
-@pytest.mark.parametrize("f, a, b, exc", [
-    (lambda x: x * x + 1.0, 0.0, 1.0, ValueError),           # no sign change
-    (lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, ValueError),
-    (lambda x: (x - 1.1) ** 9, 0.0, 3.0, RuntimeError),      # 100 iterations
-])
-def test_brentq_error_contract_matches_scipy(f, a, b, exc):
-    with pytest.raises(exc) as ours:
-        fnl.brentq(f, a, b)
-    with pytest.raises(exc) as theirs:
-        scipy_brentq(f, a, b, xtol=1e-300, rtol=8.9e-16)
-    assert str(ours.value) == str(theirs.value)

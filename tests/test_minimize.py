@@ -268,10 +268,12 @@ def test_default_seed_needs_no_retraction(dim, q, monkeypatch):
                                      thresholds=thr).converged
 
 
-@pytest.mark.parametrize("q, most", [(2.5, 1), (3.2, 2)])
-def test_seed_grid_saves_the_outgrown_solve(q, most, monkeypatch):
+@pytest.mark.parametrize("q, most, rel", [(2.5, 1, 0.5), (3.2, 2, 0.5), (3.2, 1, 1.0)],
+                         ids=["2.5-1", "3.2-2", "3.2-1-rel1.0"])
+def test_seed_grid_saves_the_outgrown_solve(q, most, rel, monkeypatch):
     # at (3, 3.2) the minimizer outgrows r_max = 50: the grid is stretched to
-    # the seed before the first solve instead of after it
+    # the seed before the first solve instead of after it, also at a = a0,
+    # where the seed fits r_max = 50 but its lambda does not
     calls = []
     solve = mn.minimize_local
 
@@ -280,7 +282,7 @@ def test_seed_grid_saves_the_outgrown_solve(q, most, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(mn, "minimize_local", counted)
-    params, thr = _point(3, q)
+    params, thr = _point(3, q, rel=rel)
     rep = mn.minimize_in_domain(params, nc.make_grid(3, 50.0, 8192), thresholds=thr)
     assert rep.converged
     assert rep.solves == len(calls) <= most

@@ -188,24 +188,25 @@ def entry(params, nm, idx):
 
 @pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
 def test_root_step_is_batch_invariant(dim, q):
-    # each trial's tau_minus and brackets do not depend on the other trials
+    # each trial's roots and peak do not depend on the other trials
     params, nm = atlas_family_norms(dim, q)
     assert nm.grad2.shape == (4, 64)
-    tau, lo, peak, reason = fnl.fiber_upper_root(params, nm)
+    tau_m, tau_p, peak, reason = fnl.fiber_root_step(params, nm)
     for idx in np.ndindex(nm.grad2.shape):
-        one = fnl.fiber_upper_root(params, entry(params, nm, idx))
-        assert one == (tau[idx], lo[idx], peak[idx], None)
+        one = fnl.fiber_root_step(params, entry(params, nm, idx))
+        assert one == (tau_m[idx], tau_p[idx], peak[idx], None)
         assert reason[idx] is None
 
 
 @pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
 def test_root_step_matches_scipy_brentq(dim, q):
-    # the oracle brackets the falling branch of the reduced fiber map
-    # g t^(2-qg) - c t^(ts-qg) - mu gamma_q h on its own and solves it
+    # the oracle brackets the rising and the falling branch of the reduced
+    # fiber map g t^(2-qg) - c t^(ts-qg) - mu gamma_q h on its own and
+    # solves each
     params, nm = atlas_family_norms(dim, q)
     ex = params.ex
     al, be = 2.0 - ex.q_gamma_q, ex.two_star - ex.q_gamma_q
-    tau = fnl.fiber_upper_root(params, nm)[0]
+    tau_m, tau_p = fnl.fiber_root_step(params, nm)[:2]
     eps = np.finfo(float).eps
     for idx in np.ndindex(nm.grad2.shape):
         g, c, h = float(nm.grad2[idx]), float(nm.crit[idx]), float(nm.sub[idx])
@@ -213,11 +214,33 @@ def test_root_step_matches_scipy_brentq(dim, q):
         def red(t, g=g, c=c, h=h):
             return g * t ** al - c * t ** be - params.mu * ex.gamma_q * h
         top = (al * g / (be * c)) ** (1.0 / (be - al))
-        hi = 2.0 * top
+        lo, hi = 0.5 * top, 2.0 * top
+        while red(lo) > 0.0:
+            lo *= 0.5
         while red(hi) > 0.0:
             hi *= 2.0
         want = scipy_brentq(red, top, hi, xtol=1e-300, rtol=8.9e-16)
-        assert abs(tau[idx] - want) <= 4.0 * eps * want
+        assert abs(tau_m[idx] - want) <= 4.0 * eps * want
+        want = scipy_brentq(red, lo, top, xtol=1e-300, rtol=8.9e-16)
+        assert abs(tau_p[idx] - want) <= 8.0 * eps * want
+
+
+def test_root_step_raises_on_a_nan_map_value():
+    # a NaN inside a running bracket stops the step; one in an entry that
+    # starts at NaN (a refused entry) does not
+    def step(x):
+        f = np.where(x > 0.5, np.nan, x - 0.75)
+        return f, f
+    with pytest.raises(ValueError, match="NaN"):
+        fnl.newton_root(step, np.zeros(2), np.ones(2), np.array([0.9, np.nan]),
+                        np.zeros(2, dtype=bool))
+    root = fnl.newton_root(lambda x: (x - 0.25, x - 0.25), np.zeros(2), np.ones(2),
+                           np.array([1.0, np.nan]), np.zeros(2, dtype=bool))
+    assert root[0] == 0.25 and math.isnan(root[1])
+    # (x - 1.1)^9: Newton's steps shrink the error by only 8/9 each
+    with pytest.raises(RuntimeError, match="did not converge"):
+        fnl.newton_root(lambda x: ((x - 1.1) ** 9, (x - 1.1) / 9.0), np.zeros(1),
+                        np.full(1, 3.0), np.full(1, 3.0), np.zeros(1, dtype=bool))
 
 
 def test_root_step_refuses_per_entry():
@@ -230,7 +253,7 @@ def test_root_step_refuses_per_entry():
     g, c, h = np.array([(g0, c0, h0), (g0, c0, 1e6 * h0), (g1, c1, 0.0),
                         (g1, 1e-200 * c1, h1), (g1, c1, h1), (g2, c2, h2)]).T
     mixed = fnl.FiberNorms(g, c, h, params.a)
-    tau, _, _, reason = fnl.fiber_upper_root(params, mixed)
+    tau, _, _, reason = fnl.fiber_root_step(params, mixed)
     assert list(reason[[1, 2, 3]]) == list(fnl.FIBER_REFUSALS)
     for i in (1, 2, 3):
         with pytest.raises(fnl.StructuralAnomalyError) as exc:
@@ -238,8 +261,8 @@ def test_root_step_refuses_per_entry():
         assert str(exc.value) == reason[i]
         assert math.isnan(tau[i])
     keep = [0, 4, 5]
-    admitted = fnl.fiber_upper_root(params, fnl.FiberNorms(g[keep], c[keep], h[keep],
-                                                           params.a))
+    admitted = fnl.fiber_root_step(params, fnl.FiberNorms(g[keep], c[keep], h[keep],
+                                                          params.a))
     assert list(reason[keep]) == [None] * 3
     assert np.array_equal(tau[keep], admitted[0])
 
@@ -299,7 +322,7 @@ def test_cpo_case2_sequence():
     assert rep.monotone_decreasing
     # prescribed kinetic excess holds to root-finder accuracy
     for A_n, excess in zip(A_values, rep.details["kinetic_excess"]):
-        assert excess == pytest.approx(A_n, rel=1e-4)
+        assert excess == pytest.approx(A_n, rel=1e-11)
     # interpolation lower bound on the critical norm
     lb = rep.details["l2star_lower_bound"]
     assert all(x >= lb * (1.0 - 1e-12) for x in rep.details["l2star_norms"])
@@ -310,6 +333,40 @@ def test_cpo_case2_sequence():
         assert r == pytest.approx(A_n / x**2, rel=1e-10)
     S4 = nc.sobolev_constant(4)
     assert rep.projected_energies[-1] < 0.05 * S4 ** 2.0 / 4.0
+
+
+def test_cpo_case2_amplitude_matches_scipy_brentq(monkeypatch):
+    # the oracle brackets the quotient of Q + s bump on its own and solves
+    # quotient(s) = M_n by Brent's method
+    amplitudes = []
+    solve = fnl.newton_root
+
+    def spy(*args):
+        x = solve(*args)
+        amplitudes.append(float(x[0]))
+        return x
+    monkeypatch.setattr(fnl, "newton_root", spy)
+    p = critical_params(2.0)
+    g = nc.make_grid(4, 200.0, 8192)
+    A_values = [0.1, 0.01, 0.001]
+    mp.cpo_sequence_case2(p, g, A_values)
+    q, W = p.q, g.full_weights
+    Q = profiles.weinstein_ground_state(q, g).values
+    bump = mp._mollifier_bump(g.nodes)
+
+    def quotient(s):
+        v = Q + s * bump
+        return (nc.grad_l2_sq(g, v) * float(np.dot(W, v * v)) ** ((q - 2.0) / 2.0)
+                / float(np.dot(W, np.abs(v) ** q)))
+    eps = np.finfo(float).eps
+    assert len(amplitudes) == len(A_values)
+    for A_n, got in zip(A_values, amplitudes):
+        M_n = (p.mu * p.ex.gamma_q + A_n) * p.a ** ((q - 2.0) / 2.0)
+        hi = 1.0
+        while quotient(hi) < M_n:
+            hi *= 2.0
+        want = scipy_brentq(lambda s: quotient(s) - M_n, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
+        assert abs(got - want) <= 4.0 * eps * want
 
 
 def test_cpo_case2_quotient_minimum_is_ground_state():
