@@ -179,10 +179,12 @@ def gn_constant(params: ProblemParams) -> float:
     The quotient of the discrete ground state of the associated scalar
     field equation (the maximizer of the quotient), solved on a w = 0 grid
     of GN_N nodes reaching 72 decay lengths (at least r = 50); cached per
-    (N, q).  The quotient is stationary at the maximizer, so C_Nq is far
-    more accurate than the O(h^2) profile: it moves by 1.5e-9 to 1.1e-8
-    relative when the same grid blends toward uniform spacing at the origin
-    (w = 0.05).
+    (N, q).  Its discretization error is O(h^2): at the atlas's five (N, q)
+    it moves by 1.1e-7 to 8.0e-7 relative from n = 4096 to 8192 and by a
+    quarter of that, 2.8e-8 to 2.0e-7, from 8192 to 16384, so at GN_N it
+    is off by about 4e-8 to 3e-7 relative.  Blending the grid toward
+    uniform spacing at the origin (w = 0.05) moves it by only 1.5e-9 to
+    9.6e-9.
     """
     return _gn_constant_cached(params.dim, params.q)
 

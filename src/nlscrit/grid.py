@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gamma, isfinite, pi
 from typing import Callable
 
@@ -116,6 +117,25 @@ class RadialGrid:
         """(diag, off) of the tridiagonal kinetic operator A, shared read-only."""
         return self._stiff
 
+    @cached_property
+    def h1_factor(self) -> SPDFactor:
+        """The factor of A + W, W = diag(full_weights): the Gram matrix of the
+        solvers' H^1 norm, made on first use and shared read-only."""
+        d, off = self._stiff
+        return SPDFactor(off, d + self._full_w)
+
+    def dilated(self, t: float) -> RadialGrid:
+        """The grid of nodes t r_i and weights t^N w_i on r_max t, with the
+        same n, grading and origin blend: make_grid's grid at r_max t up to
+        rounding, without its quadrature moments.  The norms of a function's
+        values on it scale exactly as the function's dilation by 1/t does."""
+        if not (t > 0.0 and isfinite(t)):
+            raise ValueError(f"the dilation factor must be positive and finite, got {t!r}")
+        with np.errstate(over="ignore"):   # an overflow fails _checked_grid
+            nodes, weights = t * self.nodes, np.float64(t) ** self.dim * self.weights
+        return _checked_grid(self.dim, t * self.r_max, self.grading, self.origin_blend,
+                             nodes, weights)
+
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
         """A u for real or complex u."""
         d, off = self.stiffness_bands()
@@ -158,19 +178,19 @@ def _load_flapack():
     return module
 
 
-def _lapack_gtsv():
-    """(dgtsv, zgtsv); through scipy.linalg's public lookup on a scipy whose
-    layout `_load_flapack` does not know."""
+def _lapack_routines():
+    """(dgtsv, zgtsv, dpttrf, dpttrs); through scipy.linalg's public lookup
+    on a scipy whose layout `_load_flapack` does not know."""
     try:
         flapack = _load_flapack()
-        return flapack.dgtsv, flapack.zgtsv
+        return flapack.dgtsv, flapack.zgtsv, flapack.dpttrf, flapack.dpttrs
     except (ImportError, OSError):
         from scipy.linalg import get_lapack_funcs
-        return (get_lapack_funcs("gtsv", dtype=np.float64),
-                get_lapack_funcs("gtsv", dtype=np.complex128))
+        dgtsv, dpttrf, dpttrs = get_lapack_funcs(("gtsv", "pttrf", "pttrs"), dtype=np.float64)
+        return dgtsv, get_lapack_funcs("gtsv", dtype=np.complex128), dpttrf, dpttrs
 
 
-_DGTSV, _ZGTSV = _lapack_gtsv()
+_DGTSV, _ZGTSV, _DPTTRF, _DPTTRS = _lapack_routines()
 _F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 
@@ -248,6 +268,44 @@ class TridiagBand:
         return _gtsv(gtsv, self._lower, diag, self._upper, rhs, 1)
 
 
+class SPDFactor:
+    """The LDL^T factor of a symmetric positive definite tridiagonal T with
+    diagonal `diag` and both off-diagonals `off`, made once by LAPACK pttrf
+    and applied by pttrs, so that a run of solves with one matrix pays the
+    elimination once.  The contract of tridiag_solve, for float64 only:
+    TypeError on any other dtype; ValueError on non-finite input, the bands
+    checked here and each right-hand side at its solve; LinAlgError when T
+    is not positive definite.  The inputs are left as they are and the
+    factor is kept read-only."""
+
+    def __init__(self, off: np.ndarray, diag: np.ndarray):
+        _require_float64(off, diag)
+        _require_finite(off, diag)
+        d, e, info = _DPTTRF(diag, off)
+        if info > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of pttrf")
+        d.flags.writeable = e.flags.writeable = False
+        self._d, self._e = d, e
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """T^-1 rhs; rhs may hold several columns."""
+        _require_float64(rhs)
+        _require_finite(rhs)
+        x, info = _DPTTRS(self._d, self._e, rhs)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of pttrs")
+        return x
+
+
+def _require_float64(*arrays: np.ndarray) -> None:
+    dtypes = {a.dtype for a in arrays}
+    if dtypes != {_F64}:
+        raise TypeError("SPDFactor takes float64 arrays, got "
+                        + ", ".join(sorted(map(str, dtypes))))
+
+
 def scaled_tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray,
                          scale: np.ndarray) -> np.ndarray:
     """tridiag_solve through (S T S) y = S rhs, x = S y, S = diag(scale).
@@ -308,9 +366,15 @@ def make_grid(dim: int, r_max: float, n: int, grading: float = 0.0,
     nodes[1::2] = x2
     weights[0::2] = w1
     weights[1::2] = w2
-    if not (np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)):
-        raise RuntimeError("grid construction produced a non-monotone or non-positive rule")
-    return RadialGrid(dim=dim, r_max=float(r_max), n=2 * m, grading=float(grading),
+    return _checked_grid(dim, r_max, grading, origin_blend, nodes, weights)
+
+
+def _checked_grid(dim: int, r_max: float, grading: float, origin_blend: float,
+                  nodes: np.ndarray, weights: np.ndarray) -> RadialGrid:
+    if not (np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0) and all_finite(weights)):
+        raise RuntimeError("grid construction produced a non-monotone, non-positive or "
+                           "non-finite rule")
+    return RadialGrid(dim=dim, r_max=float(r_max), n=len(nodes), grading=float(grading),
                       origin_blend=float(origin_blend), nodes=nodes, weights=weights)
 
 

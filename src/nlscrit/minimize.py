@@ -4,15 +4,17 @@ ball ||grad u||^2 < rho0.
 Two phases, one residual.  The residual of a state u is the weak form
 F = A u - W (N(u) + lambda u) of the stationary equation (stiffness A,
 quadrature weights W, lambda the multiplier of u on the mass sphere),
-measured in the H^-1 dual norm sqrt(F.(A + W)^-1 F): one tridiagonal solve
-on the stiffness bands.  Unlike the weighted l^2 norm sqrt(F.F/W), whose
-rounding floor grows like n^2 on these graded meshes, this norm has a
-rounding floor far below the tolerance at every grid size, so `converged`
-means the same thing at every n.
+measured in the H^-1 dual norm sqrt(F.(A + W)^-1 F): one solve with the
+LDL^T factor of A + W that the grid makes once (`RadialGrid.h1_factor`).
+Unlike the weighted l^2 norm sqrt(F.F/W), whose rounding floor grows like
+n^2 on these graded meshes, this norm has a rounding floor far below the
+tolerance at every grid size, so `converged` means the same thing at
+every n.
 
 First, projected descent: the weighted-L^2 gradient F/W, preconditioned by
-(A + alpha W)^-1 and projected onto the tangent space of the mass sphere,
-with an Armijo test after exact renormalization of the mass.  The shift
+(A + alpha W)^-1, factored once per iteration as alpha moves, and
+projected onto the tangent space of the mass sphere, with an Armijo test
+after exact renormalization of the mass.  The shift
 follows the iterate, alpha = max(-lambda, 1e-8), so that the
 preconditioner is the linear part A - lambda W of the Hessian
 A - W (N'(u) + lambda) (X. Antoine, A. Levitt & Q. Tang, J. Comput. Phys.
@@ -38,8 +40,8 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import (Profile, RadialGrid, lq_norm_pow, make_grid, mass, resample,
-                   rescale, scaled_tridiag_solve, tridiag_solve)
+from .grid import (Profile, RadialGrid, SPDFactor, lq_norm_pow, mass, resample, rescale,
+                   scaled_tridiag_solve)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
@@ -88,13 +90,11 @@ def _nonlinear_prime(params: cst.ProblemParams, u: np.ndarray) -> np.ndarray:
     return (ts - 1.0) * au ** (ts - 2.0) + params.mu * (q - 1.0) * au ** (q - 2.0)
 
 
-def _residual(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray, lam: float,
-              h1_diag: np.ndarray):
+def _residual(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray, lam: float):
     """(F, ||F||_H^-1): F = A u - W (N(u) + lam u), and its dual norm
-    sqrt(F.(A + W)^-1 F), with h1_diag the diagonal of A + W."""
+    sqrt(F.(A + W)^-1 F), solved with the grid's factor of A + W."""
     F = grid.stiffness_apply(u) - grid.full_weights * (_nonlinear(params, u) + lam * u)
-    off = grid.stiffness_bands()[1]
-    return F, math.sqrt(float(np.dot(F, tridiag_solve(off, h1_diag, F))))
+    return F, math.sqrt(float(np.dot(F, grid.h1_factor.solve(F))))
 
 
 def gaussian_norms(params: cst.ProblemParams, sigma: float) -> fnl.FiberNorms:
@@ -158,12 +158,11 @@ def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
     is at or above `floor`."""
     W, a = grid.full_weights, params.a
     diag, off = grid.stiffness_bands()
-    h1_diag = diag + W
-    sc = 1.0 / np.sqrt(h1_diag)
+    sc = 1.0 / np.sqrt(diag + W)
     best, best_res = u, math.inf
     for _ in range(NEWTON_MAX):
         lam = _norms(params, grid, u).lagrange_multiplier(params)
-        F, res = _residual(params, grid, u, lam, h1_diag)
+        F, res = _residual(params, grid, u, lam)
         if not res < best_res:
             break
         best, best_res = u, res
@@ -210,7 +209,6 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
 
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
-    h1_diag = diag + W
     nm = _norms(params, grid, u)
     E = nm.energy(params)
     step = STEP0
@@ -220,7 +218,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     it = flat = 0
     for it in range(MAX_ITER):
         lam = nm.lagrange_multiplier(params)
-        F, res = _residual(params, grid, u, lam, h1_diag)
+        F, res = _residual(params, grid, u, lam)
         trace.append((it, E, nm.pohozaev(params), nm.grad2))
         # where the minimum sits at E > 0 (a domain too small for it), E can
         # go flat to rounding above the tolerance: 8 accepted steps in a row
@@ -229,7 +227,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                 or flat == 8):
             break
         shift = max(-lam, SHIFT_MIN)
-        d = tridiag_solve(off, diag + shift * W, F)
+        d = SPDFactor(off, diag + shift * W).solve(F)
         d -= (float(np.dot(W, u * d)) / a) * u
         dd = float(np.dot(F, d))
         if dd <= 0.0:
@@ -266,8 +264,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
         if ok and g2 < rho0:
             # recompute the residual actually reported
             nn = _norms(params, grid, u_new, g2)
-            _, res_new = _residual(params, grid, u_new, nn.lagrange_multiplier(params),
-                                   h1_diag)
+            _, res_new = _residual(params, grid, u_new, nn.lagrange_multiplier(params))
             if res_new < res:
                 u, res, E, nm = u_new, res_new, nn.energy(params), nn
 
@@ -315,7 +312,7 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
     lam = gaussian_norms(params, sigma).lagrange_multiplier(params)
     if not _holds(lam, grid.r_max) or grid.r_max < SEED_FIT * sigma:
         t = max(_stretch(lam, grid.r_max), SEED_FIT * sigma / grid.r_max)
-        grid = make_grid(grid.dim, t * grid.r_max, grid.n, grid.grading, grid.origin_blend)
+        grid = grid.dilated(t)
     init = None
     for attempt in range(5):
         rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
@@ -323,7 +320,7 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
             rep.solves = attempt + 1
             return rep
         t = _stretch(rep.lam, grid.r_max)
-        grid = make_grid(grid.dim, t * grid.r_max, grid.n, grid.grading, grid.origin_blend)
+        grid = grid.dilated(t)
         init = resample(rep.final, grid)
 
 

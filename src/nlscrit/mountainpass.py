@@ -30,7 +30,7 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import Profile, RadialGrid, make_grid, mass
+from .grid import Profile, RadialGrid, mass
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
@@ -56,7 +56,7 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
         raise fnl.RegimeError(
             "no admissible projection: the fiber map is strictly decreasing")
     tau = rep.tau_minus
-    g = make_grid(grid.dim, grid.r_max / tau, grid.n, grid.grading, grid.origin_blend)
+    g = grid.dilated(1.0 / tau)
     vals = tau ** (grid.dim / 2.0) * u.values
     w = Profile(g, vals * math.sqrt(params.a / mass(g, vals)))
     nm = fnl.fiber_norms(params, g, w)
@@ -287,6 +287,7 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     k_int = grid.interval_stiffness
     r = grid.nodes
     uext = np.concatenate([u, [0.0]])
+    kept_floor = grid.n * np.finfo(float).eps
 
     ratios, energies, checks = [], [], []
     for ncut in n_values:
@@ -303,14 +304,16 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
         dwd = np.diff(wext)
         dg = float(np.dot(k_int, dwd * (du + dv)))
         hv = hu - dh
-        e2 = dm / (a_used - dm)                                 # c^2 - 1
+        kept_m, kept_s = a_used - dm, su - ds
+        # what the cutoff keeps must exceed the rounding of the n-term sums
+        if not (kept_m > kept_floor * a_used and kept_s > kept_floor * su):
+            raise ValueError(f"cutoff radius {ncut!r} leaves nothing of the profile "
+                             "on this grid")
+        e2 = dm / kept_m                                        # c^2 - 1
         c2 = 1.0 + e2
         cq2m1 = math.expm1((q - 2.0) / 2.0 * math.log1p(e2))    # c^(q-2) - 1
         excess = c2 * (mu * gam * dh - dg - mu * gam * hv * cq2m1)
-        if not su - ds > 0.0:
-            raise ValueError(f"cutoff radius {ncut!r} leaves nothing of the profile "
-                             "on this grid")
-        denom = c2 * (su - ds) ** (2.0 / ts)
+        denom = c2 * kept_s ** (2.0 / ts)
         ratio = excess / denom
         ratios.append(ratio)
         energies.append(ratio ** (N / 2.0) / N if ratio > 0.0 else -math.inf)

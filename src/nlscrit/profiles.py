@@ -9,8 +9,12 @@ The ground state solved here is the positive decreasing solution of
 computed on the caller's grid in the grid's own discretization,
 A K u + B W u = W |u|^(q-2) u (stiffness K, quadrature weights W):
 Petviashvili's iteration (V. I. Petviashvili, 1976; convergence in
-D. Pelinovsky & Y. Stepanyants, SIAM J. Numer. Anal. 42, 2004) followed by
-tridiagonal Newton.  Its far field decays like r^(-(N-1)/2) exp(-kappa r),
+D. Pelinovsky & Y. Stepanyants, SIAM J. Numer. Anal. 42, 2004), whose
+solves with L = A K + B W share one LDL^T factor, followed by tridiagonal
+Newton.  From a Gaussian the iteration count does not fall with the mesh,
+so on grids of more than COARSE_N nodes the iteration starts from the
+ground state of the COARSE_N-node grid, prolonged by monotone cubic
+interpolation.  Its far field decays like r^(-(N-1)/2) exp(-kappa r),
 kappa = sqrt(B/A), which sets the domain of the sharp-constant grid.
 """
 
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Profile, RadialGrid, scaled_tridiag_solve, tridiag_solve
+from .grid import (Profile, RadialGrid, SPDFactor, make_grid, resample,
+                   scaled_tridiag_solve)
 
 
 def ode_coefficients(dim: int, q: float) -> tuple[float, float]:
@@ -46,6 +51,7 @@ PETVIASHVILI_MAX = 500
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 20
 NEWTON_FLOOR = 1e-8
+COARSE_N = 1024             # finer grids start from this grid's ground state
 
 
 def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
@@ -55,8 +61,22 @@ def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
     Solves A K u + B W u = W |u|^(q-2) u with the grid's stiffness K and
     weights W: Petviashvili iteration down to a relative residual
     PETVIASHVILI_TOL, then tridiagonal Newton down to NEWTON_TOL (or the
-    rounding floor).
+    rounding floor).  On grids of more than COARSE_N nodes the iteration
+    starts from the ground state of the COARSE_N-node grid of the same
+    r_max, grading and origin blend, prolonged by `resample`; else from a
+    Gaussian.
     """
+    start = None
+    if grid.n > COARSE_N:
+        coarse = make_grid(grid.dim, grid.r_max, COARSE_N, grid.grading, grid.origin_blend)
+        start = resample(Profile(coarse, _ground_state(q, coarse)), grid).values
+    return Profile(grid, _ground_state(q, grid, start))
+
+
+def _ground_state(q: float, grid: RadialGrid, u: np.ndarray | None = None) -> np.ndarray:
+    """weinstein_ground_state's iteration on `grid` from u, by default the
+    Gaussian B^(1/(q-2)) exp(-r^2/2).  Petviashvili's linear solves share
+    one factor of L = A K + B W."""
     A, B = ode_coefficients(grid.dim, q)
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
@@ -72,13 +92,15 @@ def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
     # too large for n) the iterate overflows or vanishes: an error, not a warning
     try:
         with np.errstate(under="ignore", over="raise", divide="raise", invalid="raise"):
-            u = B ** (1.0 / (q - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
+            if u is None:
+                u = B ** (1.0 / (q - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
+            L = SPDFactor(L_off, L_diag)
             for _ in range(PETVIASHVILI_MAX):
                 Lu, nl, res = residual(u)
                 if res < PETVIASHVILI_TOL:
                     break
                 stab = (np.dot(u, Lu) / np.dot(u, nl)) ** ((q - 1.0) / (q - 2.0))
-                u = stab * tridiag_solve(L_off, L_diag, nl)
+                u = stab * L.solve(nl)
             else:
                 raise RuntimeError(f"Petviashvili iteration stalled at residual {res:.2e}")
             for _ in range(NEWTON_MAX):
@@ -94,7 +116,7 @@ def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
         raise RuntimeError(f"ground-state iteration failed on this grid: {exc}") from exc
     if res > NEWTON_FLOOR:
         raise RuntimeError(f"ground-state Newton stopped at residual {res:.2e}")
-    return Profile(grid, u)
+    return u
 
 
 def aubin_talenti(b: float, grid: RadialGrid) -> Profile:

@@ -14,7 +14,7 @@ from scipy.linalg import solve_banded
 
 import nlscrit as nc
 from nlscrit import grid as grid_mod
-from nlscrit.grid import (TridiagBand, pchip, lq_norm_pow, profile_from_dict,
+from nlscrit.grid import (SPDFactor, TridiagBand, pchip, lq_norm_pow, profile_from_dict,
                           profile_to_dict, tridiag_solve)
 
 
@@ -170,22 +170,94 @@ def test_tridiag_solve_matches_dense():
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=0)
 
 
+def spd_systems():
+    """(off, diag, dense matrix, rhs) of the positive definite A + W of
+    tridiag_systems, with one and two columns."""
+    o, diag, dense, rhs = tridiag_systems()[0]
+    return [(o, diag, dense, rhs), (o, diag, dense, np.column_stack([rhs, diag]))]
+
+
+def test_spd_factor_matches_dense():
+    for o, diag, dense, rhs in spd_systems():
+        factor = SPDFactor(o, diag)
+        for _ in range(2):      # the factor survives its solves
+            x = factor.solve(rhs)
+            assert x.shape == rhs.shape
+            np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("blend", [0.0, 0.5])
+def test_grid_h1_factor_matches_tridiag_solve(blend):
+    g = nc.make_grid(3, 50.0, 8192, origin_blend=blend)
+    d, off = g.stiffness_bands()
+    rhs = g.full_weights * np.exp(-g.nodes) * np.cos(g.nodes)
+    x_ref = tridiag_solve(off, d + g.full_weights, rhs)
+    x = g.h1_factor.solve(rhs)
+    assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+
+
+def test_grid_h1_factor_is_made_once_and_read_only():
+    g = nc.make_grid(3, 10.0, 64)
+    factor = g.h1_factor
+    assert g.h1_factor is factor
+    assert not (factor._d.flags.writeable or factor._e.flags.writeable)
+    assert g.dilated(2.0).h1_factor is not factor
+
+
+def test_spd_factor_has_the_errors_of_tridiag_solve():
+    n = 16
+    off, diag, rhs = np.ones(n - 1), np.full(n, 4.0), np.ones(n)
+    for dtype in (np.float32, np.complex128, np.int64):
+        with pytest.raises(TypeError):
+            SPDFactor(off.astype(dtype), diag)
+        with pytest.raises(TypeError):
+            SPDFactor(off, diag.astype(dtype))
+        with pytest.raises(TypeError):
+            SPDFactor(off, diag).solve(rhs.astype(dtype))
+    for bad in (off, diag, rhs):
+        for value in (np.nan, np.inf):
+            copy = bad.copy()
+            copy[3] = value
+            args = [copy if a is bad else a for a in (off, diag, rhs)]
+            with pytest.raises(ValueError):
+                SPDFactor(*args[:2]).solve(args[2])
+    # symmetric and nonsingular, but indefinite: eigenvalues 1 + 2 cos(k pi / 17)
+    with pytest.raises(np.linalg.LinAlgError):
+        SPDFactor(off, np.ones(n))
+    with pytest.raises(np.linalg.LinAlgError):
+        SPDFactor(np.zeros(n - 1), np.zeros(n))
+    factor = SPDFactor(off, diag)
+    assert np.array_equal(off, np.ones(n - 1)) and np.array_equal(diag, np.full(n, 4.0))
+    x = factor.solve(rhs)
+    assert np.array_equal(rhs, np.ones(n)) and not np.shares_memory(x, rhs)
+
+
+LAPACK_ROUTINES = ("_DGTSV", "_ZGTSV", "_DPTTRF", "_DPTTRS")
+
+
 def test_flapack_is_the_module_scipy_imports():
     # a fresh process, so that nlscrit loads the module before scipy.linalg does
     code = ("import sys; from nlscrit import grid; held = sys.modules['scipy.linalg._flapack']; "
-            "from scipy.linalg import _flapack, get_lapack_funcs; "
+            "from scipy.linalg import _flapack, get_lapack_funcs as lookup; "
             "print(_flapack is held, grid._DGTSV is held.dgtsv, grid._ZGTSV is held.zgtsv, "
-            "get_lapack_funcs('gtsv', dtype='float64') is grid._DGTSV)")
+            "grid._DPTTRF is held.dpttrf, grid._DPTTRS is held.dpttrs, "
+            "lookup('gtsv', dtype='float64') is grid._DGTSV, "
+            "lookup('pttrf', dtype='float64') is grid._DPTTRF, "
+            "lookup('pttrs', dtype='float64') is grid._DPTTRS)")
     src = str(pathlib.Path(grid_mod.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["True"] * 4
+    assert out.split() == ["True"] * 8
 
 
 @pytest.mark.parametrize("failure", ["not found", "does not load"])
 def test_gtsv_fallback_gives_the_same_x(failure, monkeypatch):
+    # every routine of the fallback lookup: gtsv through tridiag_solve, and
+    # pttrf and pttrs through SPDFactor on the positive definite systems
     expected = [tridiag_solve(o, diag, rhs) for o, diag, _, rhs in tridiag_systems()]
+    spd = [(o, diag, rhs) for o, diag, _, rhs in spd_systems()]
+    expected_spd = [SPDFactor(o, diag).solve(rhs) for o, diag, rhs in spd]
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     if failure == "not found":
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
@@ -196,12 +268,14 @@ def test_gtsv_fallback_gives_the_same_x(failure, monkeypatch):
         monkeypatch.setattr(importlib.util, "module_from_spec", broken)
     with pytest.raises((ImportError, OSError)):
         grid_mod._load_flapack()
-    dgtsv, zgtsv = grid_mod._lapack_gtsv()
+    routines = grid_mod._lapack_routines()
     monkeypatch.undo()
-    monkeypatch.setattr(grid_mod, "_DGTSV", dgtsv)
-    monkeypatch.setattr(grid_mod, "_ZGTSV", zgtsv)
+    for name, routine in zip(LAPACK_ROUTINES, routines):
+        monkeypatch.setattr(grid_mod, name, routine)
     for (o, diag, _, rhs), x in zip(tridiag_systems(), expected):
         assert np.array_equal(tridiag_solve(o, diag, rhs), x)
+    for (o, diag, rhs), x in zip(spd, expected_spd):
+        assert np.array_equal(SPDFactor(o, diag).solve(rhs), x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
@@ -286,6 +360,45 @@ def test_band_solve_inplace_has_the_errors_of_tridiag_solve():
             TridiagBand(off).solve_inplace(*args)
     with pytest.raises(np.linalg.LinAlgError):
         TridiagBand(np.zeros(n - 1)).solve_inplace(np.zeros(n), rhs.copy())
+
+
+@pytest.mark.parametrize("t", [0.03, 0.7, 2.5, 40.0])
+@pytest.mark.parametrize("dim,grading,blend", [(3, 0.0, 0.0), (6, 1.0, 0.05)])
+def test_dilated_grid_is_make_grid_at_the_dilated_r_max(t, dim, grading, blend):
+    g = nc.make_grid(dim, 20.0, 2048, grading, blend)
+    d = g.dilated(t)
+    ref = nc.make_grid(dim, 20.0 * t, 2048, grading, blend)
+    assert (d.dim, d.r_max, d.n, d.grading, d.origin_blend) == (
+        ref.dim, ref.r_max, ref.n, ref.grading, ref.origin_blend)
+    assert np.max(np.abs(d.nodes / ref.nodes - 1.0)) <= 4e-15
+    assert np.max(np.abs(d.weights / ref.weights - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.8, 3.0, 25.0])
+def test_norms_on_the_dilated_grid_scale_as_the_fiber_map(tau):
+    # tau^(N/2) u on the grid of nodes r_i / tau is the dilation u_tau
+    dim = 4
+    g = nc.make_grid(dim, 30.0, 2048, grading=1.0)
+    r = g.nodes
+    u = (1.0 + 0.3 * r - 0.1 * r * r) * np.exp(-0.5 * r * r)
+    d = g.dilated(1.0 / tau)
+    v = tau ** (dim / 2.0) * u
+    assert nc.mass(d, v) == pytest.approx(nc.mass(g, u), rel=1e-13)
+    assert nc.grad_l2_sq(d, v) == pytest.approx(tau ** 2 * nc.grad_l2_sq(g, u), rel=1e-13)
+    for p in (2.5, 4.0):
+        assert lq_norm_pow(d, v, p) == pytest.approx(
+            tau ** (dim * (p / 2.0 - 1.0)) * lq_norm_pow(g, u, p), rel=1e-13)
+
+
+def test_dilated_rejects_factors_it_cannot_apply():
+    g = nc.make_grid(3, 10.0, 64)
+    for t in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            g.dilated(t)
+    with pytest.raises(RuntimeError):   # the nodes underflow to one value
+        g.dilated(1e-320)
+    with pytest.raises(RuntimeError):   # the weights overflow
+        g.dilated(1e120)
 
 
 def test_rescale_identity_and_errors():

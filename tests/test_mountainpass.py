@@ -309,6 +309,19 @@ def test_cpo_case1_rejects_oversized_cutoff():
         mp.cpo_sequence_case1(p, g, [30.0, 60.0])
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_cpo_case1_refuses_a_cutoff_that_removes_the_profile(n, monkeypatch):
+    # phi = 0 everywhere: the complement holds the whole mass, so a_used - dm
+    # and su - ds are zero up to rounding (exactly zero, or a few ulp of
+    # either sign), and are refused before anything divides by them
+    monkeypatch.setattr(profiles, "cutoff_factors",
+                        lambda r, n_cut: (np.zeros_like(r), np.ones_like(r)))
+    p = critical_params(1.0, dim=3)
+    g = nc.make_grid(3, 100.0, n)
+    with pytest.raises(ValueError, match="leaves nothing of the profile"):
+        mp.cpo_sequence_case1(p, g, [5.0])
+
+
 def test_cpo_case1_rejects_subcritical(params_half, soliton_grid):
     with pytest.raises(fnl.RegimeError):
         mp.cpo_sequence_case1(params_half, soliton_grid, [5.0])

@@ -96,6 +96,22 @@ def test_gn_constant_pinned(dim, q, C_ref):
     assert C == pytest.approx(C_ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("dim,q,C_ref", [
+    (3, 2.5, 0.6943069864118361), (3, 3.2, 0.5257942205217457),
+    (4, 2.5, 0.5807473603398494), (5, 2.4, 0.5395155321296664),
+    (6, 2.2, 0.6469806495307571), (4, 3.0, 0.42017960185483916)])
+def test_coarse_start_keeps_the_ground_state(dim, q, C_ref):
+    # C_Nq as the fine-grid iteration from a Gaussian gave it, before the
+    # iteration started from the prolonged COARSE_N-node ground state: both
+    # end at the same discrete solution
+    C = nc.gn_constant(nc.ProblemParams(dim, q, 1.0, 1.0))
+    assert C == pytest.approx(C_ref, rel=1e-14, abs=0.0)
+    r_max = max(50.0, 72.0 / profiles.weinstein_decay_rate(dim, q))
+    g = nc.make_grid(dim, r_max, 8192)
+    assert g.n > profiles.COARSE_N
+    assert np.all(profiles.weinstein_ground_state(q, g).values > 0.0)
+
+
 def test_bubble_values_and_quotient(sharp3):
     S, _ = sharp3
     # at N = 3 the kinetic tail decays like 1/r: truncating at 1e3 leaves a
