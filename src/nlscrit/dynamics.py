@@ -218,6 +218,8 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         raise ValueError("dt and t_end must be positive")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt must be finite: t_end = {t_end!r}, dt = {dt!r}")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride!r}")
     for u in (psi0,) if reference is None else (psi0, reference):
         require_on_grid(grid, u)
     stepper = _RelaxationStepper(params, grid, linear)

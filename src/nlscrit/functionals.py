@@ -12,9 +12,9 @@ a pair tau_plus < tau_minus (local min at negative level, global max at
 nonnegative level); at the mass-critical exponent there is either one root
 (a maximum) or none.  psi_value and phi_value also take arrays of tau,
 and they and fiber_root_step take norms whose fields are arrays.
-`newton_root`, the bracketed Newton step that solves both fiber roots, is
-the package's one root finder; `mountainpass.cpo_sequence_case2` solves its
-amplitudes with it too.
+`newton_root`, the bracketed Newton step that solves both fiber roots from
+closed-form bounds, is the package's one root finder;
+`mountainpass.cpo_sequence_case2` solves its amplitudes with it too.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class FiberReport:
 FIBER_REFUSALS = (   # why `fiber_root_step` refuses an entry, in the order it checks
     "fiber map has no root although the regime guarantees two; "
     "the profile may be under-resolved on this grid",
-    "no lower fiber root above tau = 1e-14",
-    "no upper fiber root below tau = 1e14",
+    "fiber root brackets leave the floats: (k/g)^(1/alpha), k/g or k/c is not a "
+    "positive normal float, or c (2U)^beta overflows (k = mu gamma_q h, U = (g/c)^(1/(2* - 2)))",
 )
 FIBER_ROOT_MAXITER = 100   # Newton steps of `newton_root` before it gives up
 _EPS4 = 4.0 * np.finfo(float).eps   # its stopping step, relative to x
@@ -178,17 +178,22 @@ def fiber_root_step(params: cst.ProblemParams, nm: FiberNorms):
     entry goes through the same elementwise arithmetic, so its results do
     not depend on the other entries.
 
-    Per entry: bracket both roots of the reduced fiber map
-    phi(tau) / tau^(q gamma_q), which rises to a single peak and then falls,
-    by halving and doubling from its peak, refusing where the map has no
-    root or a bracket runs out of [1e-14, 1e14] (FIBER_REFUSALS, checked in
-    that order).  One `newton_root` call then solves every entry's lower
-    root in [lo, peak] from lo and its upper root in [peak, hi] from hi.
-    Where the map is concave, the steps approach each root from its start.
+    Per entry, the reduced fiber map r(tau) = phi(tau) / tau^(q gamma_q)
+    = g tau^alpha - c tau^beta - k (alpha = 2 - q gamma_q, beta = 2* -
+    q gamma_q, k = mu gamma_q h) rises to a single peak and then falls.
+    Where r(peak) > 0, one `newton_root` call solves every entry's lower
+    root from L = (k/g)^(1/alpha) in [0, peak] and its upper root from
+    U = (g/c)^(1/(2* - 2)) in [peak, 2U]: r(L) = -c L^beta and r(U) = -k
+    hold only to a rounding that grows with |ln L| and |ln U|, while r(0)
+    = -k and r(2U) are negative by a wide margin.  Refused (FIBER_REFUSALS,
+    in that order): r(peak) <= 0; L, k/g or k/c not a positive normal float
+    (an underflowed power could then cost a term more than eps/2 of k), or
+    c (2U)^beta overflowing.  Where the map is concave, the steps approach
+    each root from its start.
 
-    Returns (tau_minus, tau_plus, peak, reason).  reason is None where the
-    entry is admitted, else its refusal message, and both roots are NaN
-    there.  Floats for float norms, else arrays of their shape."""
+    Returns (tau_minus, tau_plus, reason).  reason is None where the entry
+    is admitted, else its refusal message, and both roots are NaN there.
+    Floats for float norms, else arrays of their shape."""
     ex = params.ex
     ts, gq = ex.two_star, ex.q_gamma_q
     shape = np.shape(nm.grad2)
@@ -199,49 +204,34 @@ def fiber_root_step(params: cst.ProblemParams, nm: FiberNorms):
     al, be = np.array(2.0 - gq), np.array(ts - gq)
     k = params.mu * ex.gamma_q * h
 
-    def red(tau: np.ndarray) -> np.ndarray:
-        return g * tau ** al - c * tau ** be - k
+    def step(tau: np.ndarray):
+        ga, cb = g * tau ** al, c * tau ** be
+        f = ga - cb - k
+        return f, tau * (f / (al * ga - be * cb))   # r / r' (f tau can underflow)
 
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         peak = (al * g / (be * c)) ** (1.0 / (ts - 2.0))
-        ok = red(peak) > 0.0
-        lo, hi = peak.copy(), peak.copy()
-        walk = ok.copy()
-        while np.count_nonzero(walk):
-            np.multiply(lo, 0.5, out=lo, where=walk)
-            walk &= lo >= 1e-14
-            walk &= red(lo) > 0.0
-        no_lo = ok & (lo < 1e-14)
-        walk = ok & ~no_lo
-        while np.count_nonzero(walk):
-            np.multiply(hi, 2.0, out=hi, where=walk)
-            walk &= hi <= 1e14
-            walk &= red(hi) > 0.0
-        no_hi = ok & ~no_lo & (hi > 1e14)
-        admitted = ok & ~no_lo & ~no_hi
-
-        def step(tau: np.ndarray):
-            ga, cb = g * tau ** al, c * tau ** be
-            f = ga - cb - k
-            return f, f * tau / (al * ga - be * cb)   # red / red'
-
-        # row 0 the lower roots, row 1 the upper: red(lo) <= 0 < red(peak) > 0 >= red(hi)
-        tau_p, tau_m = newton_root(step, np.array([lo, peak]), np.array([peak, hi]),
-                                   np.where(admitted, [lo, hi], np.nan),
+        ok = step(peak)[0] > 0.0   # r(peak) > 0
+        lo, up = (k / g) ** (1.0 / al), (g / c) ** (1.0 / (ts - 2.0))
+        off_floats = ok & ~((np.minimum(np.minimum(lo, k / g), k / c) >= np.finfo(float).tiny)
+                            & (c * (2.0 * up) ** be < np.inf))
+        # row 0 the lower roots, row 1 the upper: r(0) < 0 < r(peak) > 0 > r(2U)
+        tau_p, tau_m = newton_root(step, np.array([np.zeros_like(lo), peak]),
+                                   np.array([peak, 2.0 * up]),
+                                   np.where(ok & ~off_floats, [lo, up], np.nan),
                                    np.array([[False], [True]]))
     reason = np.full(g.shape, None, dtype=object)
-    for refused, message in zip((~ok, no_lo, no_hi), FIBER_REFUSALS):
+    for refused, message in zip((~ok, off_floats), FIBER_REFUSALS):
         reason[refused] = message
     if not shape:
-        return float(tau_m[0]), float(tau_p[0]), float(peak[0]), reason[0]
-    return (tau_m.reshape(shape), tau_p.reshape(shape), peak.reshape(shape),
-            reason.reshape(shape))
+        return float(tau_m[0]), float(tau_p[0]), reason[0]
+    return tau_m.reshape(shape), tau_p.reshape(shape), reason.reshape(shape)
 
 
 def fiber_roots(params: cst.ProblemParams, nm: FiberNorms) -> tuple[float, float]:
     """(tau_plus, tau_minus) below the mass-critical exponent by
     `fiber_root_step`; StructuralAnomalyError with its refusal message."""
-    tau_m, tau_p, _, reason = fiber_root_step(params, nm)
+    tau_m, tau_p, reason = fiber_root_step(params, nm)
     if reason is not None:
         raise StructuralAnomalyError(reason)
     return tau_p, tau_m

@@ -40,8 +40,8 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import (Profile, RadialGrid, SPDFactor, lq_norm_pow, mass, resample, rescale,
-                   scaled_tridiag_solve)
+from .grid import (Profile, RadialGrid, SPDFactor, lq_norm_pow, mass, require_on_grid, resample,
+                   rescale, scaled_tridiag_solve)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
@@ -205,6 +205,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
 
     if init is None:
         init = profiles.gaussian(params, min(seed_width(params), grid.r_max / SEED_FIT), grid)
+    require_on_grid(grid, init)
     u = _project_into_ball(params, grid, init, rho0).values.astype(float)
 
     W = grid.full_weights
@@ -313,7 +314,7 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
     if not _holds(lam, grid.r_max) or grid.r_max < SEED_FIT * sigma:
         t = max(_stretch(lam, grid.r_max), SEED_FIT * sigma / grid.r_max)
         grid = grid.dilated(t)
-    init = None
+    init = profiles.gaussian(params, min(sigma, grid.r_max / SEED_FIT), grid)
     for attempt in range(5):
         rep = minimize_local(params, grid, init=init, tol=tol, thresholds=thresholds)
         if attempt == 4 or _holds(rep.lam, grid.r_max):

@@ -157,7 +157,7 @@ def _family_levels(params: cst.ProblemParams, grid: RadialGrid,
     values, s) of the lowest level, or None when every trial is refused.
     One call of the root step solves every trial."""
     bubbles, nm = _family_norms(params, grid, family, umin)
-    tau_m, _, _, reason = fnl.fiber_root_step(params, nm)
+    tau_m, _, reason = fnl.fiber_root_step(params, nm)
     levels = fnl.psi_value(params, nm, tau_m)
     trace, failures = [], []
     best, low = None, math.inf

@@ -151,6 +151,8 @@ def cutoff_factors(r: np.ndarray, n_cut: float):
 
 def cutoff_profile(u: Profile, n_cut: float) -> Profile:
     """v(r) = phi(r/n) u(r): identical to u on B_n, zero outside B_2n."""
+    if not 0.0 < n_cut < math.inf:
+        raise ValueError(f"the cutoff radius must be positive and finite, got {n_cut!r}")
     if 2.0 * n_cut > u.grid.r_max:
         raise ValueError(f"cutoff support 2n = {2*n_cut} exceeds r_max = {u.grid.r_max}")
     phi, _ = cutoff_factors(u.grid.nodes, n_cut)

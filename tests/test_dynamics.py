@@ -144,6 +144,20 @@ def test_evolve_argument_validation(params_half, dyn_grid):
         dyn.evolve(params_half, dyn_grid, psi0, dt=1e-300, t_end=1e10)
 
 
+@pytest.mark.parametrize("run", [
+    lambda p, g, u, stride: dyn.evolve(p, g, u, dt=1e-3, t_end=1e-2, stride=stride),
+    lambda p, g, u, stride: dyn.blowup_probe(p, g, u, 1.05, 1e-2, stride=stride),
+], ids=["evolve", "blowup_probe"])
+@pytest.mark.parametrize("stride", [0, -1])
+def test_stride_below_one_is_refused(run, stride):
+    # stride 0 would end in `steps % 0` after the first accepted step
+    params = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    g = nc.make_grid(3, 10.0, 256, 0.0, 0.5)
+    u = nc.Profile(g, nc.gaussian(params, 1.0, g).values.astype(complex))
+    with pytest.raises(ValueError, match="stride must be at least 1"):
+        run(params, g, u, stride)
+
+
 def dense_cayley_step(params, grid, psi, ups, dt):
     """psi+ from M+ psi+ = M- psi by a dense solve, M+- = W +- i dt/2 (A - W ups+),
     with A = D^T diag(k) D assembled from the interval stiffness k (D the

@@ -52,6 +52,24 @@ def test_minimizer_restart_is_fixed_point(params_half, soliton_grid, thr_half,
     assert rep.energy == pytest.approx(minimizer_half.energy, abs=1e-10)
 
 
+def test_init_on_another_grid_is_refused(params_half, thr_half):
+    # same dimension and n, another r_max: the solve would run on values
+    # sampled at other nodes
+    init = profiles.gaussian(params_half, 1.0, nc.make_grid(3, 50.0, 2048))
+    with pytest.raises(ValueError, match="another grid"):
+        mn.minimize_local(params_half, nc.make_grid(3, 80.0, 2048), init=init,
+                          thresholds=thr_half)
+
+
+def test_minimize_in_domain_solves_the_seed_width_once(params_half, soliton_grid, thr_half,
+                                                      monkeypatch):
+    calls = []
+    seed_width = mn.seed_width
+    monkeypatch.setattr(mn, "seed_width", lambda p: calls.append(p) or seed_width(p))
+    assert mn.minimize_in_domain(params_half, soliton_grid, thresholds=thr_half).converged
+    assert calls == [params_half]
+
+
 def test_minimize_rejected_in_omega3(base325, sharp3, a0_325, soliton_grid):
     S, C = sharp3
     p = base325.with_mass(3.0 * a0_325)

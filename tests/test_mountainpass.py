@@ -188,13 +188,13 @@ def entry(params, nm, idx):
 
 @pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
 def test_root_step_is_batch_invariant(dim, q):
-    # each trial's roots and peak do not depend on the other trials
+    # each trial's roots do not depend on the other trials
     params, nm = atlas_family_norms(dim, q)
     assert nm.grad2.shape == (4, 64)
-    tau_m, tau_p, peak, reason = fnl.fiber_root_step(params, nm)
+    tau_m, tau_p, reason = fnl.fiber_root_step(params, nm)
     for idx in np.ndindex(nm.grad2.shape):
         one = fnl.fiber_root_step(params, entry(params, nm, idx))
-        assert one == (tau_m[idx], tau_p[idx], peak[idx], None)
+        assert one == (tau_m[idx], tau_p[idx], None)
         assert reason[idx] is None
 
 
@@ -244,27 +244,63 @@ def test_root_step_raises_on_a_nan_map_value():
 
 
 def test_root_step_refuses_per_entry():
-    # three admitted trials around three built to hit each refusal in turn:
-    # no root (the subcritical term swamps the peak), no lower root above
-    # 1e-14 (no subcritical term) and no upper root below 1e14 (a critical
-    # term so small that the peak lies past 1e14)
+    # admitted trials around two built to hit each refusal in turn: no root
+    # (the subcritical term swamps the peak) and a bracket end off the
+    # floats (no subcritical term, so L = 0); a critical term 1e-200 times
+    # smaller moves the upper root to about 1e50, which is admitted
     params, nm = atlas_family_norms(3, "2.5")
     (g0, g1, g2), (c0, c1, c2), (h0, h1, h2) = nm.grad2[0, :3], nm.crit[0, :3], nm.sub[0, :3]
     g, c, h = np.array([(g0, c0, h0), (g0, c0, 1e6 * h0), (g1, c1, 0.0),
                         (g1, 1e-200 * c1, h1), (g1, c1, h1), (g2, c2, h2)]).T
     mixed = fnl.FiberNorms(g, c, h, params.a)
-    tau, _, _, reason = fnl.fiber_root_step(params, mixed)
-    assert list(reason[[1, 2, 3]]) == list(fnl.FIBER_REFUSALS)
-    for i in (1, 2, 3):
+    tau_m, tau_p, reason = fnl.fiber_root_step(params, mixed)
+    assert list(reason[[1, 2]]) == list(fnl.FIBER_REFUSALS)
+    for i in (1, 2):
         with pytest.raises(fnl.StructuralAnomalyError) as exc:
             fnl.fiber_roots(params, entry(params, mixed, i))
         assert str(exc.value) == reason[i]
-        assert math.isnan(tau[i])
-    keep = [0, 4, 5]
+        assert math.isnan(tau_m[i]) and math.isnan(tau_p[i])
+    keep = [0, 3, 4, 5]
     admitted = fnl.fiber_root_step(params, fnl.FiberNorms(g[keep], c[keep], h[keep],
                                                           params.a))
-    assert list(reason[keep]) == [None] * 3
-    assert np.array_equal(tau[keep], admitted[0])
+    assert list(reason[keep]) == [None] * 4
+    assert np.array_equal(tau_m[keep], admitted[0])
+    # the entry with tau_minus near 1e50 against scipy on [peak, U] and [L, peak]
+    ex = params.ex
+    al, be = 2.0 - ex.q_gamma_q, ex.two_star - ex.q_gamma_q
+    k = params.mu * ex.gamma_q * h[3]
+
+    def red(t):
+        return g[3] * t ** al - c[3] * t ** be - k
+    top = (al * g[3] / (be * c[3])) ** (1.0 / (be - al))
+    lo, hi = (k / g[3]) ** (1.0 / al), (g[3] / c[3]) ** (1.0 / (ex.two_star - 2.0))
+    assert 1e49 < tau_m[3] < 1e51
+    eps = np.finfo(float).eps
+    want = scipy_brentq(red, top, hi, xtol=1e-300, rtol=8.9e-16)
+    assert abs(tau_m[3] - want) <= 4.0 * eps * want
+    want = scipy_brentq(red, lo, top, xtol=1e-300, rtol=8.9e-16)
+    assert abs(tau_p[3] - want) <= 8.0 * eps * want
+
+
+def test_root_step_refuses_bracket_ends_off_the_floats():
+    # near the mass-critical exponent alpha = 2 - q gamma_q is 0.005, so
+    # L = (k/g)^200 leaves the normal floats for a moderate k/g, and U
+    # overflows while the peak and r(peak) stay finite
+    params = nc.ProblemParams(3, cst.parse_q("3.33"), 1.0, 1.0)
+    ex = params.ex
+    al = 2.0 - ex.q_gamma_q
+    assert al == pytest.approx(0.005)
+    k_over_g = np.array([10.0 ** (-300.0 * al), 10.0 ** (-316.0 * al), 1.0, 1.0])
+    g = np.array([1.0, 1.0, 1e10, 1.0])
+    c = np.array([1.0, 1.0, 1e-300, 1.0])
+    nm = fnl.FiberNorms(g, c, g * k_over_g / (params.mu * ex.gamma_q), params.a)
+    tau_m, tau_p, reason = fnl.fiber_root_step(params, nm)
+    # L about 1e-300 (admitted), 1e-316 (subnormal), U = inf, and k = g
+    # (r(peak) <= 0)
+    assert list(reason) == [None, fnl.FIBER_REFUSALS[1], fnl.FIBER_REFUSALS[1],
+                            fnl.FIBER_REFUSALS[0]]
+    assert 0.0 < tau_p[0] < 1e-290 < tau_m[0] < 1.0   # U = (g/c)^(1/4) = 1
+    assert np.isnan(tau_m[1:]).all() and np.isnan(tau_p[1:]).all()
 
 
 @pytest.mark.parametrize("family", [mp.MPFamilySpec(amplitudes=()),

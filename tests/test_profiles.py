@@ -159,6 +159,15 @@ def test_cutoff_profile_properties():
         profiles.cutoff_profile(u, 60.0)
 
 
+@pytest.mark.parametrize("n_cut", [0.0, -5.0, math.nan, math.inf])
+def test_cutoff_radius_must_be_positive_and_finite(n_cut):
+    # unchecked, 0 divides by zero and -5 returns the profile uncut
+    g = nc.make_grid(3, 100.0, 256)
+    u = profiles.gaussian(nc.ProblemParams(3, 2.5, 1.0, 2.0), 5.0, g)
+    with pytest.raises(ValueError, match="cutoff radius must be positive and finite"):
+        profiles.cutoff_profile(u, n_cut)
+
+
 def test_cutoff_h1_error_decreases_for_bubble():
     g = nc.make_grid(3, 1.0e3, 8192, grading=3.0)
     u = profiles.aubin_talenti(1.0, g)
