@@ -188,13 +188,19 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
     }
 
 
+def _dr_min(g: gridmod.RadialGrid) -> float:
+    return float(np.min(np.diff(g.nodes)))
+
+
 def _domain_diagnostics(rep: minmod.SolveReport) -> dict:
-    """The grid minimize_in_domain solved on: its r_max, how many grids it
-    solved on, and the decay lengths r_max sqrt(-lambda) it holds (0 when
-    lambda >= 0)."""
-    r_max = rep.final.grid.r_max
-    return {"r_max": r_max, "solves": rep.solves,
-            "decay_lengths": r_max * math.sqrt(max(-rep.lam, 0.0))}
+    """The grid minimize_in_domain solved on: its r_max, n and smallest node
+    spacing, how many grids it solved on, the decay lengths r_max
+    sqrt(-lambda) it holds (0 when lambda >= 0), and the coarse level its
+    seed was solved on ({n, iterations, converged}, or None)."""
+    g = rep.final.grid
+    return {"r_max": g.r_max, "n": g.n, "dr_min": _dr_min(g), "solves": rep.solves,
+            "decay_lengths": g.r_max * math.sqrt(max(-rep.lam, 0.0)),
+            "coarse": rep.coarse}
 
 
 def _cmd_minimize(args: argparse.Namespace) -> dict:
@@ -315,7 +321,7 @@ def _cmd_evolve(args: argparse.Namespace):
            "grad_norm": summary.grad_norm}
     if summary.h1_distance is not None:
         doc["h1_distance"] = summary.h1_distance
-    dr_min = float(np.min(np.diff(g.nodes)))
+    dr_min = _dr_min(g)
     doc["diagnostics"] = {"steps": summary.steps, "refused_steps": summary.refused_steps,
                           "grid": {"n": g.n, "r_max": g.r_max,
                                    "origin_blend": g.origin_blend, "dr_min": dr_min},

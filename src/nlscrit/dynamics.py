@@ -33,6 +33,7 @@ minimum step size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,8 +219,8 @@ def evolve(params: cst.ProblemParams, grid: RadialGrid, psi0: Profile,
         raise ValueError("dt and t_end must be positive")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt must be finite: t_end = {t_end!r}, dt = {dt!r}")
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride!r}")
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"stride must be at least 1 and an integer, got {stride!r}")
     for u in (psi0,) if reference is None else (psi0, reference):
         require_on_grid(grid, u)
     stepper = _RelaxationStepper(params, grid, linear)
@@ -361,8 +362,8 @@ def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
     norm is then monitored for the blow-up indicator.  v must live on `grid`
     itself."""
     require_on_grid(grid, v)
-    if amplification <= 0.0:
-        raise ValueError("amplification must be positive")
+    if not 0.0 < amplification < math.inf:
+        raise ValueError(f"amplification must be positive and finite, got {amplification!r}")
     w = rescale(v, amplification)
     w = Profile(grid, (w.values * math.sqrt(params.a / mass(grid, w))).astype(complex))
     summary = evolve(params, grid, w, dt, t_end, stride=stride)

@@ -148,6 +148,12 @@ def test_minimize_on_the_dilation_orbit_of_the_readme_point(capsys):
         diag = doc["diagnostics"]
         assert diag["solves"] == 1
         assert diag["decay_lengths"] == diag["r_max"] * math.sqrt(-doc["lambda"])
+        # the fine grid only polishes the minimizer of the 1024-node grid
+        g = gridmod.make_grid(3, diag["r_max"], 8192)
+        assert diag["n"] == 8192
+        assert diag["dr_min"] == pytest.approx(float(np.min(np.diff(g.nodes))), rel=1e-12)
+        assert diag["coarse"]["n"] == 1024 and diag["coarse"]["converged"] is True
+        assert diag["coarse"]["iterations"] > doc["iterations"] == 1
 
 
 def test_cpo_case2_command(capsys):
@@ -450,7 +456,8 @@ def test_every_command_reports_one_m_a(tmp_path, capsys):
     diag = docs["minimize"]["diagnostics"]
     assert diag["r_max"] > 30.0 and diag["solves"] >= 1
     assert diag["decay_lengths"] >= 10.0
-    for key in ("r_max", "solves", "decay_lengths"):
+    assert diag["n"] == 2048 and diag["coarse"] is None
+    for key in ("r_max", "n", "dr_min", "solves", "decay_lengths", "coarse"):
         assert docs["mountain-pass"]["diagnostics"][key] == diag[key]
     # the witness file holds u_{tau_minus} on its own grid, at the level
     w = gridmod.load_profile(str(witness))

@@ -158,6 +158,38 @@ def test_stride_below_one_is_refused(run, stride):
         run(params, g, u, stride)
 
 
+@pytest.mark.parametrize("stride", [math.nan, 2.5], ids=["nan", "2.5"])
+def test_stride_that_is_no_integer_is_refused(stride):
+    # `stride < 1` is false for both: nan recorded only t = 0 and t_end, and
+    # 2.5 recorded every 5 steps
+    params = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    g = nc.make_grid(3, 10.0, 256, 0.0, 0.5)
+    u = nc.Profile(g, nc.gaussian(params, 1.0, g).values.astype(complex))
+    with pytest.raises(ValueError, match=f"an integer, got {stride!r}"):
+        dyn.evolve(params, g, u, dt=1e-3, t_end=2e-2, stride=stride)
+
+
+def test_numpy_integer_stride_is_accepted():
+    params = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    g = nc.make_grid(3, 10.0, 256, 0.0, 0.5)
+    u = nc.Profile(g, nc.gaussian(params, 1.0, g).values.astype(complex))
+    s = dyn.evolve(params, g, u, dt=1e-3, t_end=2e-2, stride=np.int64(4))
+    assert np.array_equal(s.times, dyn.evolve(params, g, u, dt=1e-3, t_end=2e-2,
+                                              stride=4).times)
+
+
+@pytest.mark.parametrize("amplification", [math.nan, math.inf])
+def test_amplification_must_be_positive_and_finite(amplification, recwarn):
+    # nan and inf used to reach rescale (inf with a RuntimeWarning) and fail
+    # there as "profile values must be finite"
+    params = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    g = nc.make_grid(3, 10.0, 256, 0.0, 0.5)
+    u = nc.gaussian(params, 1.0, g)
+    with pytest.raises(ValueError, match="amplification must be positive and finite"):
+        dyn.blowup_probe(params, g, u, amplification, 1e-2)
+    assert not recwarn.list
+
+
 def dense_cayley_step(params, grid, psi, ups, dt):
     """psi+ from M+ psi+ = M- psi by a dense solve, M+- = W +- i dt/2 (A - W ups+),
     with A = D^T diag(k) D assembled from the interval stiffness k (D the

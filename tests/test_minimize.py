@@ -30,8 +30,13 @@ def test_minimizer_omega2(params_at, soliton_grid, thr_at, minimizer_at):
     check_minimizer_contracts(params_at, soliton_grid, thr_at, minimizer_at)
 
 
-def test_minimizer_energy_monotone_trace(minimizer_half):
-    es = np.array([t[1] for t in minimizer_half.trace])
+def test_minimizer_energy_monotone_trace(params_half, soliton_grid, thr_half):
+    # from the default start the fine descent stops at its first iterate: the
+    # seed given as init makes it run on this grid
+    rep = mn.minimize_local(params_half, soliton_grid,
+                            init=_gaussian_seed(params_half, soliton_grid), thresholds=thr_half)
+    es = np.array([t[1] for t in rep.trace])
+    assert len(es) > 2
     assert np.all(np.diff(es) <= 1e-12 * np.maximum(1.0, np.abs(es[:-1])))
 
 
@@ -159,12 +164,21 @@ def _point(dim, q, mu=1.0, rel=0.5):
     return params, nc.thresholds(params, S, C)
 
 
+def _gaussian_seed(params, grid):
+    """The default seed on `grid` itself: given as init, the descent runs at
+    grid.n from the gaussian, where the default would start from the coarse
+    minimizer."""
+    return profiles.gaussian(params, min(mn.seed_width(params), grid.r_max / mn.SEED_FIT),
+                             grid)
+
+
 def test_descent_hands_a_flat_energy_to_newton():
     # the projected residual plateaued just above the Newton switch while E was
     # flat to rounding; this point used to run the 20000-iteration cap, and
     # 352 iterations with the preconditioner's fixed shift 1 (-lambda = 0.036)
     params, thr = _point(4, 2.5, 0.46875, 0.44921875)
-    rep = mn.minimize_local(params, nc.make_grid(4, 50.0, 8192), thresholds=thr)
+    g = nc.make_grid(4, 50.0, 8192)
+    rep = mn.minimize_local(params, g, init=_gaussian_seed(params, g), thresholds=thr)
     assert rep.converged
     assert rep.iterations < 60
 
@@ -172,7 +186,8 @@ def test_descent_hands_a_flat_energy_to_newton():
 def test_descent_converges_where_lambda_is_small():
     # -lambda = 3e-4: the fixed shift took 16286 iterations (13 s) here
     params, thr = _point(3, 3.2)
-    rep = mn.minimize_local(params, nc.make_grid(3, 800.0, 8192), thresholds=thr)
+    g = nc.make_grid(3, 800.0, 8192)
+    rep = mn.minimize_local(params, g, init=_gaussian_seed(params, g), thresholds=thr)
     assert rep.converged and not rep.boundary_hit
     assert rep.iterations < 200
 
@@ -305,3 +320,74 @@ def test_seed_grid_saves_the_outgrown_solve(q, most, rel, monkeypatch):
     assert rep.converged
     assert rep.solves == len(calls) <= most
     assert rep.final.grid.r_max == calls[-1]
+
+
+def _fails(how):
+    """A stand-in for mn._solve whose coarse-grid solves fail as `how` says."""
+    solve = mn._solve
+
+    def failing(params, grid, init, tol, rho0):
+        if grid.n != profiles.COARSE_N:
+            return solve(params, grid, init, tol, rho0)
+        if how == "raises":
+            raise RuntimeError("coarse solve failed")
+        rep = solve(params, grid, init, tol, rho0)
+        if how == "boundary":
+            rep.boundary_hit = True
+        rep.converged = False
+        return rep
+    return failing
+
+
+@pytest.mark.parametrize("how", ["raises", "unconverged", "boundary"])
+def test_failed_coarse_solve_leaves_the_gaussian_start(how, monkeypatch):
+    params, thr = _point(3, 2.5)
+    g = nc.make_grid(3, 50.0, 8192)
+    want = mn.minimize_local(params, g, init=_gaussian_seed(params, g), thresholds=thr)
+    monkeypatch.setattr(mn, "_solve", _fails(how))
+    for solve in (mn.minimize_local, mn.minimize_in_domain):
+        rep = solve(params, g, thresholds=thr)
+        assert rep.coarse["n"] == profiles.COARSE_N and rep.coarse["converged"] is False
+        assert (rep.coarse["iterations"] is None) == (how == "raises")
+        assert rep.iterations == want.iterations
+        assert rep.energy == want.energy
+        assert np.array_equal(rep.final.values, want.final.values)
+
+
+@pytest.mark.parametrize("dim, q", ATLAS_PAIRS)
+@pytest.mark.parametrize("rel", [0.5, 1.0])
+def test_coarse_start_agrees_with_the_gaussian_start(dim, q, rel, monkeypatch):
+    params, thr = _point(dim, q, rel=rel)
+    g = nc.make_grid(dim, 50.0, 8192)
+    rep = mn.minimize_in_domain(params, g, thresholds=thr)
+    monkeypatch.setattr(mn, "COARSE_START_N", math.inf)
+    want = mn.minimize_in_domain(params, g, thresholds=thr)
+    assert rep.coarse["n"] == profiles.COARSE_N and rep.coarse["converged"] is True
+    assert want.coarse is None
+    assert rep.converged and want.converged
+    assert rep.final.grid.r_max == want.final.grid.r_max
+    assert rep.energy == pytest.approx(want.energy, rel=1e-10, abs=0.0)
+    assert rep.iterations <= want.iterations
+
+
+def test_explicit_init_runs_no_coarse_level(params_half, soliton_grid, thr_half, monkeypatch):
+    def refused(*args):
+        raise AssertionError("an explicit init was solved on the coarse grid")
+
+    init = profiles.gaussian(params_half, 1.0, soliton_grid)
+    want = mn.minimize_local(params_half, soliton_grid, init=init, thresholds=thr_half)
+    monkeypatch.setattr(mn, "_seed_start", refused)
+    rep = mn.minimize_local(params_half, soliton_grid, init=init, thresholds=thr_half)
+    assert rep.coarse is None and want.coarse is None
+    assert rep.iterations == want.iterations > 1
+    assert np.array_equal(rep.final.values, want.final.values)
+
+
+def test_coarse_start_only_on_fine_grids(params_half, thr_half):
+    small = mn.minimize_local(params_half, nc.make_grid(3, 50.0, mn.COARSE_START_N - 2),
+                              thresholds=thr_half)
+    large = mn.minimize_local(params_half, nc.make_grid(3, 50.0, mn.COARSE_START_N),
+                              thresholds=thr_half)
+    assert small.coarse is None and small.iterations > 1
+    assert large.coarse["n"] == profiles.COARSE_N and large.coarse["converged"] is True
+    assert large.coarse["iterations"] > 1 and large.iterations == 1
