@@ -76,7 +76,8 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _document(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), indent=2) + "\n"
+    """The JSON document of a command's result, schema_version first."""
+    return json.dumps(_jsonable({"schema_version": SCHEMA_VERSION, **doc}), indent=2) + "\n"
 
 
 def _problem(args: argparse.Namespace) -> cst.ProblemParams:
@@ -135,7 +136,6 @@ def _cmd_constants(args: argparse.Namespace) -> dict:
     ex = params.ex
     thr = cst.thresholds(params)
     return {
-        "schema_version": SCHEMA_VERSION,
         "params": {"dim": params.dim, "q": params.q, "mu": params.mu, "a": params.a},
         "exponents": {"two_star": ex.two_star, "gamma_q": ex.gamma_q,
                       "q_gamma_q": ex.q_gamma_q, "q_class": ex.q_class},
@@ -154,9 +154,7 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
         p = profiles.aubin_talenti(args.b, g)
     else:
         p = profiles.gaussian(params, args.sigma, g)
-    doc = {"schema_version": SCHEMA_VERSION, "kind": args.kind}
-    doc.update(gridmod.profile_to_dict(p))
-    return doc
+    return {"kind": args.kind, **gridmod.profile_to_dict(p)}
 
 
 def _load_profile_arg(path: str, args: argparse.Namespace) -> gridmod.Profile:
@@ -178,7 +176,6 @@ def _cmd_fiber(args: argparse.Namespace) -> dict:
     rep = fnl.fiber_critical_points(params, g, u)
     taus = np.logspace(-6.0, 6.0, fnl.FIBER_SAMPLES)
     return {
-        "schema_version": SCHEMA_VERSION,
         "tau_plus": rep.tau_plus, "tau_minus": rep.tau_minus,
         "e_at_tau_plus": rep.e_at_tau_plus, "e_at_tau_minus": rep.e_at_tau_minus,
         "psi_second_at_tau_minus": rep.psi_second_at_tau_minus,
@@ -207,7 +204,6 @@ def _cmd_minimize(args: argparse.Namespace) -> dict:
     rep = minmod.minimize_in_domain(_resolve_mass(args), _make_grid(args), args.tol)
     g = rep.final.grid
     return {
-        "schema_version": SCHEMA_VERSION,
         "energy": rep.energy, "pohozaev": rep.pohozaev, "lambda": rep.lam,
         "grad_residual": rep.grad_residual, "iterations": rep.iterations,
         "boundary_hit": rep.boundary_hit, "converged": rep.converged,
@@ -222,8 +218,7 @@ def _cmd_subadd(args: argparse.Namespace) -> dict:
     g = _make_grid(args)
     a1 = params.a / 2.0 if args.a1 is None else args.a1
     rep = minmod.subadditivity_check(params, g, a1, tol=args.tol)
-    return {"schema_version": SCHEMA_VERSION, "a1": a1,
-            "m_a": rep.m_a, "m_a1": rep.m_a1, "m_rest": rep.m_rest, "gap": rep.gap}
+    return {"a1": a1, "m_a": rep.m_a, "m_a1": rep.m_a1, "m_rest": rep.m_rest, "gap": rep.gap}
 
 
 def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
@@ -237,7 +232,6 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
     wn = fnl.fiber_norms(params, est.witness.grid, est.witness)
     witness_energy = wn.energy(params)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "level": est.level, "m_a": est.m_a, "upper_bound": est.upper_bound,
         "accepted": est.accepted,
         "witness_energy": witness_energy,
@@ -277,8 +271,7 @@ def _cmd_cpo(args: argparse.Namespace) -> dict:
     else:
         rep = mp.cpo_sequence_case2(params, g, args.a_values or CPO_A_VALUES[:args.steps])
     return {
-        "schema_version": SCHEMA_VERSION, "case": rep.case,
-        "parameters": rep.parameters, "ratios": rep.ratios,
+        "case": rep.case, "parameters": rep.parameters, "ratios": rep.ratios,
         "projected_energies": rep.projected_energies,
         "mass_used": rep.mass_used,
         "monotone_decreasing": rep.monotone_decreasing,
@@ -316,8 +309,7 @@ def _cmd_evolve(args: argparse.Namespace):
                          repr(float(summary.energy[i])), repr(float(summary.grad_norm[i])),
                          "" if ds is None else repr(float(ds[i]))])
         return buf.getvalue()
-    doc = {"schema_version": SCHEMA_VERSION, **head,
-           "times": summary.times, "mass": summary.mass, "energy": summary.energy,
+    doc = {**head, "times": summary.times, "mass": summary.mass, "energy": summary.energy,
            "grad_norm": summary.grad_norm}
     if summary.h1_distance is not None:
         doc["h1_distance"] = summary.h1_distance
@@ -336,8 +328,7 @@ def _sweep_point(params, g, with_ma, with_level, tol) -> list[str]:
     try:
         thr = cst.thresholds(params)
         cells[0] = thr.regime.value if thr.regime else ""
-        if (with_ma or with_level) and thr.regime in (cst.Regime.OMEGA1,
-                                                      cst.Regime.OMEGA2):
+        if (with_ma or with_level) and thr.regime in cst.LOCAL_MIN_REGIMES:
             rep = minmod.minimize_in_domain(params, g, tol, thr)
             if not rep.converged:
                 raise RuntimeError("local minimization did not converge "
@@ -375,7 +366,7 @@ def _cmd_sweep(args: argparse.Namespace):
             params, first = pm.with_mass(float(rel) * a0), j not in solved
             regime, *cells = _sweep_point(params, g, with_ma and first,
                                           with_level and first, args.tol)
-            if regime in (cst.Regime.OMEGA1.value, cst.Regime.OMEGA2.value):
+            if regime in [r.value for r in cst.LOCAL_MIN_REGIMES]:
                 cells = solved.setdefault(j, cells)
             wr.writerow([repr(float(params.mu)), repr(float(params.a)), regime, *cells])
     return buf.getvalue()
@@ -539,8 +530,7 @@ def main(argv=None) -> int:
         _write(result if isinstance(result, str) else _document(result), args.out)
         return 0
     except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
-        error = _document({"schema_version": SCHEMA_VERSION,
-                           "error_kind": getattr(exc, "kind", type(exc).__name__),
+        error = _document({"error_kind": getattr(exc, "kind", type(exc).__name__),
                            "message": str(exc), "context": {"command": args.command}})
     try:
         _write(error, args.out)

@@ -44,6 +44,11 @@ class Regime(enum.Enum):
     AT_OR_ABOVE_ABAR = "AtOrAboveAbar"
 
 
+# on or below the threshold curve: the regimes of the local minimizer, the
+# mountain-pass level and their stability (`functionals.require_omega1_or_omega2`)
+LOCAL_MIN_REGIMES = (Regime.OMEGA1, Regime.OMEGA2)
+
+
 @dataclass(frozen=True)
 class Exponents:
     two_star: float

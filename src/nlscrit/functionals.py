@@ -38,6 +38,22 @@ class StructuralAnomalyError(RuntimeError):
     """Observed fiber-root structure contradicts the admissible patterns."""
 
 
+def require_omega1_or_omega2(params: cst.ProblemParams, grid: RadialGrid,
+                             thresholds: cst.Thresholds | None, caller: str) -> cst.Thresholds:
+    """`thresholds`, or those at params when None, for `caller`, which needs
+    the hypothesis mu a^(q(1-gamma_q)/2) <= (2K)^((q gamma_q - ts)/(ts - 2)):
+    ValueError for a grid of another dimension (`require_grid_dim`), then
+    RegimeError naming `caller` outside Omega1/Omega2, so at every q >= 2 + 4/N."""
+    cst.require_grid_dim(params, grid)
+    if thresholds is None:
+        thresholds = cst.thresholds(params)
+    regime = thresholds.regime
+    if regime not in cst.LOCAL_MIN_REGIMES:
+        raise RegimeError(f"{caller} requires regime Omega1 or Omega2, "
+                          f"got {regime.value if regime else None}")
+    return thresholds
+
+
 @dataclass(frozen=True)
 class FiberNorms:
     """The norms of u, and E, P and lambda written in them."""

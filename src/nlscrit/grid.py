@@ -348,12 +348,12 @@ def make_grid(dim: int, r_max: float, n: int, grading: float = 0.0,
     """Build the graded Gauss grid.  n is rounded down to an even count."""
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
-    if r_max <= 0.0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not (isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
-    if grading < 0.0:
-        raise ValueError("grading must be >= 0")
+    if not (isfinite(grading) and grading >= 0.0):
+        raise ValueError(f"grading must be finite and >= 0, got {grading}")
     if not 0.0 <= origin_blend <= 1.0:
         raise ValueError("origin_blend must lie in [0, 1]")
     m = n // 2
@@ -367,6 +367,16 @@ def make_grid(dim: int, r_max: float, n: int, grading: float = 0.0,
     weights[0::2] = w1
     weights[1::2] = w2
     return _checked_grid(dim, r_max, grading, origin_blend, nodes, weights)
+
+
+COARSE_N = 1024   # the coarse level of the nested solves (coarse_grid)
+
+
+def coarse_grid(grid: RadialGrid) -> RadialGrid:
+    """The COARSE_N-node grid of the same r_max, grading and origin blend as
+    `grid`: the coarse level of nested iteration (A. Brandt, Math. Comp. 31,
+    1977), whose solution, prolonged by `resample`, starts the solve on `grid`."""
+    return make_grid(grid.dim, grid.r_max, COARSE_N, grid.grading, grid.origin_blend)
 
 
 def _checked_grid(dim: int, r_max: float, grading: float, origin_blend: float,

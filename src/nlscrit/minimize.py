@@ -31,11 +31,11 @@ where its residual stops falling.
 
 Third, a coarse level in front of both (`_seed_start`): without an init,
 on grids of COARSE_START_N nodes or more, the two phases first run from
-the gaussian seed on the COARSE_N-node grid of the same r_max, and the
-fine grid starts from that minimizer, prolonged by `resample`.  Its
-descent meets the Newton switch at the first iterate, so at n the polish
-does nearly all the work; `coarse` in the report gives the coarse solve's
-n, iterations and convergence.
+the gaussian seed on `grid.coarse_grid` (same r_max, grading and origin
+blend), and the fine grid starts from that minimizer, prolonged by
+`resample`.  Its descent meets the Newton switch at the first iterate, so
+at n the polish does nearly all the work; `coarse` in the report gives the
+coarse solve's n, iterations and convergence.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import (Profile, RadialGrid, SPDFactor, lq_norm_pow, make_grid, mass, require_on_grid,
-                   resample, rescale, scaled_tridiag_solve)
+from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, coarse_grid, lq_norm_pow, mass,
+                   require_on_grid, resample, rescale, scaled_tridiag_solve)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
@@ -60,7 +60,7 @@ ARMIJO = 1e-4
 SHIFT_MIN = 1e-8          # the preconditioner's shift is max(-lambda, SHIFT_MIN)
 BALL_MARGIN = 0.9         # the initial profile is dilated below this * rho0
 SEED_FIT = 5.0            # the default seed's width is at most r_max / SEED_FIT
-COARSE_START_N = 8 * profiles.COARSE_N   # grids this fine start from the coarse minimizer
+COARSE_START_N = 8 * COARSE_N   # grids this fine start from the coarse minimizer
 
 
 @dataclass
@@ -132,19 +132,6 @@ def seed_width(params: cst.ProblemParams) -> float:
     return 1.0 / fnl.fiber_roots(params, gaussian_norms(params, 1.0))[0]
 
 
-def _admissible(params: cst.ProblemParams, grid: RadialGrid,
-                thresholds: cst.Thresholds | None) -> cst.Thresholds:
-    """The thresholds at params, refusing (RegimeError) outside Omega1/Omega2
-    and a grid of another dimension."""
-    cst.require_grid_dim(params, grid)
-    if thresholds is None:
-        thresholds = cst.thresholds(params)
-    if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
-        raise fnl.RegimeError(
-            f"local minimization requires regime Omega1 or Omega2, got {thresholds.regime}")
-    return thresholds
-
-
 def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                        rho0: float) -> Profile:
     """Dilate u (tau < 1) until ||grad u||^2 < BALL_MARGIN * rho0, keeping mass."""
@@ -211,7 +198,7 @@ def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
     boundary_hit instead of being "solved".
     Converged means residual < tol * max(1, |E|) in the H^-1 norm.
     """
-    rho0 = _admissible(params, grid, thresholds).rho0
+    rho0 = fnl.require_omega1_or_omega2(params, grid, thresholds, "local minimization").rho0
     coarse = None
     if init is None:
         init, coarse = _seed_start(params, grid, seed_width(params), tol, rho0)
@@ -228,8 +215,8 @@ def _seed_start(params: cst.ProblemParams, grid: RadialGrid, sigma: float, tol: 
     from, None when no coarse level ran.
 
     The seed is the mass-a gaussian of width min(sigma, r_max / SEED_FIT).
-    On grids of COARSE_START_N nodes or more it is first solved on the
-    COARSE_N-node grid of the same r_max, grading and origin blend, and the
+    On grids of COARSE_START_N nodes or more it is first solved on
+    `coarse_grid(grid)` (same r_max, grading and origin blend), and the
     coarse minimizer, prolonged by `resample`, is the init: the fine descent
     then meets the Newton switch at once and only the polish runs at n
     (nested iteration, A. Brandt, Math. Comp. 31, 1977).  A coarse solve
@@ -246,17 +233,18 @@ def _seed_start(params: cst.ProblemParams, grid: RadialGrid, sigma: float, tol: 
     7.16 -> 5.94 ms; (6, 2.2): 5.81 -> 5.55 ms; (3, 2.5) at 16384:
     17.96 -> 7.95 ms, at 32768: 28.33 -> 14.31 ms)."""
     width = min(sigma, grid.r_max / SEED_FIT)
-    if grid.n < COARSE_START_N:
-        return profiles.gaussian(params, width, grid), None
-    coarse = {"n": profiles.COARSE_N, "iterations": None, "converged": False}
-    try:
-        cg = make_grid(grid.dim, grid.r_max, profiles.COARSE_N, grid.grading, grid.origin_blend)
-        rep = _solve(params, cg, profiles.gaussian(params, width, cg), tol, rho0)
-    except (RuntimeError, ValueError):   # numpy.linalg.LinAlgError is a ValueError
-        return profiles.gaussian(params, width, grid), coarse
-    coarse.update(iterations=rep.iterations, converged=rep.converged)
-    if rep.converged:
-        return resample(rep.final, grid), coarse
+    coarse = None
+    if grid.n >= COARSE_START_N:
+        coarse = {"n": COARSE_N, "iterations": None, "converged": False}
+        try:
+            cg = coarse_grid(grid)
+            rep = _solve(params, cg, profiles.gaussian(params, width, cg), tol, rho0)
+        except (RuntimeError, ValueError):   # numpy.linalg.LinAlgError is a ValueError
+            pass
+        else:
+            coarse.update(iterations=rep.iterations, converged=rep.converged)
+            if rep.converged:
+                return resample(rep.final, grid), coarse
     return profiles.gaussian(params, width, grid), coarse
 
 
@@ -366,7 +354,7 @@ def minimize_in_domain(params: cst.ProblemParams, grid: RadialGrid, tol: float =
     and every other number belongs to params.  Returns the last solve's
     report, with the number of grids solved on in `solves`; final.grid is
     the grid it ran on."""
-    thresholds = _admissible(params, grid, thresholds)
+    thresholds = fnl.require_omega1_or_omega2(params, grid, thresholds, "local minimization")
     sigma = seed_width(params)
     lam = gaussian_norms(params, sigma).lagrange_multiplier(params)
     if not _holds(lam, grid.r_max) or grid.r_max < SEED_FIT * sigma:
@@ -390,12 +378,7 @@ def boundary_scan(params: cst.ProblemParams, grid: RadialGrid, samples: int,
     ||grad u||^2 = rho0, mass a: each profile's energy there is
     psi(sqrt(rho0 / ||grad u||^2)) of its fiber map, the energy of its exact
     dilation."""
-    cst.require_grid_dim(params, grid)
-    if thresholds is None:
-        thresholds = cst.thresholds(params)
-    if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
-        raise fnl.RegimeError("boundary scan requires regime Omega1 or Omega2")
-    rho0 = thresholds.rho0
+    rho0 = fnl.require_omega1_or_omega2(params, grid, thresholds, "boundary scan").rho0
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):

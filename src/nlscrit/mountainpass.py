@@ -181,11 +181,7 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     converged minimizer on `grid` (minimize_in_domain's, on its final.grid);
     an upper bound for the least energy on the positive Pohozaev branch,
     checked against the strict window (0, m_a + S^(N/2)/N)."""
-    cst.require_grid_dim(params, grid)
-    if thresholds is None:
-        thresholds = cst.thresholds(params)
-    if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
-        raise fnl.RegimeError("the level estimate requires regime Omega1 or Omega2")
+    thresholds = fnl.require_omega1_or_omega2(params, grid, thresholds, "the level estimate")
     family = family or MPFamilySpec()
     if 2.0 * family.cutoff_radius > grid.r_max:
         raise ValueError("bubble cutoff support exceeds the grid")
@@ -454,11 +450,8 @@ def omega2_positivity_probe(params: cst.ProblemParams, grid: RadialGrid,
     smallest level found and, for the lowest witnesses, how close their
     kinetic norm is to rho0 and how close they are to Gagliardo-Nirenberg
     optimality (the mechanism that forces levels near zero)."""
-    cst.require_grid_dim(params, grid)
-    if thresholds is None:
-        thresholds = cst.thresholds(params)
-    if thresholds.regime not in (cst.Regime.OMEGA1, cst.Regime.OMEGA2):
-        raise fnl.RegimeError("the probe requires regime Omega1 or Omega2")
+    thresholds = fnl.require_omega1_or_omega2(params, grid, thresholds,
+                                              "the positivity probe")
     rng = np.random.default_rng(seed)
     rho0 = thresholds.rho0
     gam = params.ex.gamma_q

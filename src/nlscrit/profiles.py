@@ -13,9 +13,10 @@ D. Pelinovsky & Y. Stepanyants, SIAM J. Numer. Anal. 42, 2004), whose
 solves with L = A K + B W share one LDL^T factor, followed by tridiagonal
 Newton.  From a Gaussian the iteration count does not fall with the mesh,
 so on grids of more than COARSE_N nodes the iteration starts from the
-ground state of the COARSE_N-node grid, prolonged by monotone cubic
-interpolation.  Its far field decays like r^(-(N-1)/2) exp(-kappa r),
-kappa = sqrt(B/A), which sets the domain of the sharp-constant grid.
+ground state of `grid.coarse_grid` (same r_max, grading and origin blend),
+prolonged by monotone cubic interpolation.  Its far field decays like
+r^(-(N-1)/2) exp(-kappa r), kappa = sqrt(B/A), which sets the domain of
+the sharp-constant grid.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Profile, RadialGrid, SPDFactor, make_grid, resample,
+from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, coarse_grid, resample,
                    scaled_tridiag_solve)
 
 
@@ -51,7 +52,6 @@ PETVIASHVILI_MAX = 500
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 20
 NEWTON_FLOOR = 1e-8
-COARSE_N = 1024             # finer grids start from this grid's ground state
 
 
 def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
@@ -62,13 +62,13 @@ def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
     weights W: Petviashvili iteration down to a relative residual
     PETVIASHVILI_TOL, then tridiagonal Newton down to NEWTON_TOL (or the
     rounding floor).  On grids of more than COARSE_N nodes the iteration
-    starts from the ground state of the COARSE_N-node grid of the same
-    r_max, grading and origin blend, prolonged by `resample`; else from a
+    starts from the ground state of `coarse_grid(grid)` (same r_max,
+    grading and origin blend), prolonged by `resample`; else from a
     Gaussian.
     """
     start = None
     if grid.n > COARSE_N:
-        coarse = make_grid(grid.dim, grid.r_max, COARSE_N, grid.grading, grid.origin_blend)
+        coarse = coarse_grid(grid)
         start = resample(Profile(coarse, _ground_state(q, coarse)), grid).values
     return Profile(grid, _ground_state(q, grid, start))
 

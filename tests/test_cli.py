@@ -569,6 +569,7 @@ def test_schema_version_everywhere(tmp_path, capsys):
     ["minimize", "--a", "1.0", "--r-max", "inf"],
     ["minimize", "--a", "1.0", "--r-max", "nan"],
     ["minimize", "--a", "1.0", "--grading", "nan"],
+    ["minimize", "--q", "3.5", "--a", "1"],
     ["constants", "--q", "1e400"],
     ["constants", "--q", "2.5", "--mu", "1e-300"],
     ["constants", "--q", "auto", "--mass-multiple", "1e300"],
@@ -613,6 +614,20 @@ def test_bad_input_is_one_error_document(args, tmp_path, monkeypatch, capsys):
     assert code == 1 and err == ""
     doc = json.loads(out)
     assert doc["error_kind"] and doc["context"] == {"command": args[0]}
+
+
+@pytest.mark.parametrize("field, value", [("r_max", math.inf), ("grading", math.nan)])
+@pytest.mark.filterwarnings("error")
+def test_profile_document_with_a_non_finite_grid_field_is_refused(field, value, tmp_path,
+                                                                   capsys):
+    # json.load reads Infinity and NaN; make_grid refuses them by name
+    doc = {"dim": 3, "r_max": 30.0, "n": 16, "grading": 0.0, "values": [0.1] * 16}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**doc, field: value}) + "\n")
+    code = cli.main(["fiber", "--profile", str(path), "--a", "1.0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["message"].startswith(f"{field} must be")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -76,7 +76,8 @@ def test_q_class_is_one_float_rule():
 U = object()
 TAKES_PARAMS_AND_GRID = {
     functionals: {"fiber_norms": (U,), "energy": (U,), "pohozaev": (U,),
-                  "lagrange_multiplier": (U,), "fiber_critical_points": (U,)},
+                  "lagrange_multiplier": (U,), "fiber_critical_points": (U,),
+                  "require_omega1_or_omega2": (None, "caller")},
     minimize: {"minimize_local": (), "minimize_in_domain": (), "boundary_scan": (4,),
                "subadditivity_check": (0.5,)},
     mountainpass: {"project_to_pohozaev_minus": (U,), "estimate_mp_level": (),

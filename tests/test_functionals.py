@@ -8,6 +8,8 @@ import scipy.linalg as sla
 import nlscrit as nc
 from nlscrit import cli
 from nlscrit import functionals as fnl
+from nlscrit import minimize as mn
+from nlscrit import mountainpass as mp
 from nlscrit import profiles
 
 
@@ -128,6 +130,27 @@ def test_fiber_refused_in_omega3(base325, sharp3, a0_325, soliton_grid):
     u = profiles.gaussian(p, 1.0, soliton_grid)
     with pytest.raises(fnl.RegimeError):
         fnl.fiber_critical_points(p, soliton_grid, u, thresholds=thr)
+
+
+@pytest.mark.parametrize("site, kwargs, caller", [
+    pytest.param(site, kwargs, caller, id=site.__name__) for site, kwargs, caller in (
+        (mn.minimize_local, {}, "local minimization"),
+        (mn.minimize_in_domain, {}, "local minimization"),
+        (mn.boundary_scan, {"samples": 4}, "boundary scan"),
+        (mp.estimate_mp_level, {"minimizer": None}, "the level estimate"),
+        (mp.omega2_positivity_probe, {"trials": 4}, "the positivity probe"))])
+@pytest.mark.parametrize("q, rel, regime", [
+    (2.5, 3.0, "Omega3"), (10.0 / 3.0, None, "BelowAbar"), (3.5, None, "None"),
+], ids=["omega3", "mass-critical", "supercritical"])
+def test_every_admission_site_refuses_outside_omega1_omega2(site, kwargs, caller, q, rel,
+                                                            regime, a0_325):
+    # thresholds are left to each site; above the mass-critical exponent
+    # they set no regime at all
+    params = nc.ProblemParams(3, q, 1.0, 1.0 if rel is None else rel * a0_325)
+    grid = nc.make_grid(3, 30.0, 256)
+    with pytest.raises(fnl.RegimeError, match=f"^{caller} requires regime Omega1 or "
+                                              f"Omega2, got {regime}$"):
+        site(params, grid, **kwargs)
 
 
 def test_fiber_critical_q_closed_form():

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ def test_make_grid_rejections():
         nc.make_grid(3, 10.0, 8)
     with pytest.raises(ValueError):
         nc.make_grid(3, 10.0, 256, origin_blend=2.0)
+    # refused before any arithmetic, so no RuntimeWarning comes first
+    for field in ("r_max", "grading"):
+        for bad in (math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{field} must be"):
+                    nc.make_grid(3, n=256, **{"r_max": 10.0, "grading": 0.0, field: bad})
 
 
 def test_integrate_linear_and_monotone():
