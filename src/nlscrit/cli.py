@@ -291,7 +291,7 @@ def _cmd_evolve(args: argparse.Namespace):
                 "max_distance": rep.max_distance, "growth_factor": rep.growth_factor}
     elif args.probe == "blowup":
         rep = dyn.blowup_probe(params, g, u, args.amp, t_end, dt=dt)
-        summary = rep.summary
+        summary, g = rep.summary, rep.grid
         head = {"probe": "blowup", "blowup_flag": rep.blowup_flag,
                 "blowup_time": rep.blowup_time, "grad_growth": rep.grad_growth}
     else:

@@ -352,6 +352,7 @@ class BlowupReport:
     blowup_time: float | None
     grad_growth: float            # max grad_norm / initial grad_norm
     summary: TrajectorySummary
+    grid: RadialGrid              # the dilated grid the datum ran on
 
 
 def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
@@ -360,14 +361,16 @@ def blowup_probe(params: cst.ProblemParams, grid: RadialGrid, v: Profile,
     """Evolve the dilated datum v_tau, tau = amplification > 1 pushes the
     profile past its fiber maximum onto the descending branch; the kinetic
     norm is then monitored for the blow-up indicator.  v must live on `grid`
-    itself."""
+    itself.  The datum, `rescale`'s exact dilation at mass a, runs on its own
+    grid r_max / tau, which the report returns."""
     require_on_grid(grid, v)
     if not 0.0 < amplification < math.inf:
         raise ValueError(f"amplification must be positive and finite, got {amplification!r}")
     w = rescale(v, amplification)
-    w = Profile(grid, (w.values * math.sqrt(params.a / mass(grid, w))).astype(complex))
-    summary = evolve(params, grid, w, dt, t_end, stride=stride)
+    g = w.grid
+    w = Profile(g, (w.values * math.sqrt(params.a / mass(g, w))).astype(complex))
+    summary = evolve(params, g, w, dt, t_end, stride=stride)
     growth = float(np.max(summary.grad_norm) / summary.grad_norm[0])
     return BlowupReport(blowup_flag=summary.blowup_flag,
                         blowup_time=summary.blowup_time,
-                        grad_growth=growth, summary=summary)
+                        grad_growth=growth, summary=summary, grid=g)

@@ -26,8 +26,8 @@ stiffness ratio of the Laplacian ~1e13.
 Second, once E < 0 and the residual is below NEWTON_SWITCH ||grad u||^2
 (or below the tolerance, or once E has gone flat to rounding), a
 bordered-tridiagonal Newton solve on the stationary system (including the
-multiplier) polishes the state to 0.01 tol, or to the rounding floor,
-where its residual stops falling.
+multiplier), damped by step halving, polishes the state to 0.01 tol, or
+to the rounding floor, where its residual stops falling.
 
 Third, a coarse level in front of both (`_seed_start`): without an init,
 on grids of COARSE_START_N nodes or more, the two phases first run from
@@ -134,35 +134,35 @@ def seed_width(params: cst.ProblemParams) -> float:
 
 def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
                        rho0: float) -> Profile:
-    """Dilate u (tau < 1) until ||grad u||^2 < BALL_MARGIN * rho0, keeping mass."""
-    a = params.a
-    cur = Profile(grid, u.values * math.sqrt(a / mass(grid, u)))
-    for _ in range(8):
-        g2 = grid.stiffness_quad(cur.values)
-        if g2 < BALL_MARGIN * rho0:
-            return cur
-        tau = math.sqrt(BALL_MARGIN * rho0 / g2) * 0.98
-        cur = rescale(cur, tau)
-        cur = Profile(grid, cur.values * math.sqrt(a / mass(grid, cur)))
-    raise RuntimeError("could not dilate the initial profile into the kinetic ball")
+    """u at mass a; above ||grad u||^2 = BALL_MARGIN * rho0, dilated (tau < 1)
+    once below it, resampled onto `grid` and renormalized, or RuntimeError."""
+    cur = Profile(grid, u.values * math.sqrt(params.a / mass(grid, u)))
+    g2 = grid.stiffness_quad(cur.values)
+    if g2 >= BALL_MARGIN * rho0:
+        v = resample(rescale(cur, math.sqrt(BALL_MARGIN * rho0 / g2) * 0.98), grid)
+        cur = Profile(grid, v.values * math.sqrt(params.a / mass(grid, v)))
+        if not grid.stiffness_quad(cur.values) < BALL_MARGIN * rho0:
+            raise RuntimeError("could not dilate the initial profile into the kinetic ball")
+    return cur
 
 
 def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
                    target: float, floor: float):
-    """Newton on (stationary equation, mass constraint) from u, down to
-    residual `target` or until the residual stops falling (the rounding
-    floor).  Returns (u, ok, res) of the best iterate; ok unless its residual
-    is at or above `floor`."""
+    """Damped Newton on (stationary equation, mass constraint) from u, down
+    to residual `target`, taking only steps that lower the residual: while
+    it is at or above `floor`, a step that does not is halved, down to
+    2^-10; below, such a step ends the polish (the rounding floor).
+    Returns (u, ok, res) of the last iterate; ok when res < floor."""
     W, a = grid.full_weights, params.a
     diag, off = grid.stiffness_bands()
     sc = 1.0 / np.sqrt(diag + W)
-    best, best_res = u, math.inf
+
+    def state(v):
+        lam = _norms(params, grid, v).lagrange_multiplier(params)
+        return (v, lam) + _residual(params, grid, v, lam)
+
+    u, lam, F, res = state(u)
     for _ in range(NEWTON_MAX):
-        lam = _norms(params, grid, u).lagrange_multiplier(params)
-        F, res = _residual(params, grid, u, lam)
-        if not res < best_res:
-            break
-        best, best_res = u, res
         if res < target:
             break
         try:
@@ -178,8 +178,14 @@ def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
         du = x + dlam * y
         if not np.all(np.isfinite(du)):
             break
-        u = u + du
-    return best, best_res < floor, best_res
+        step, new = 1.0, state(u + du)
+        while not new[3] < res and res >= floor and step > 2.0 ** -10:
+            step *= 0.5
+            new = state(u + step * du)
+        if not new[3] < res:
+            break
+        u, lam, F, res = new
+    return u, res < floor, res
 
 
 def minimize_local(params: cst.ProblemParams, grid: RadialGrid,

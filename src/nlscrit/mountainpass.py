@@ -30,7 +30,7 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import Profile, RadialGrid, mass
+from .grid import Profile, RadialGrid, mass, rescale
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
@@ -44,22 +44,18 @@ MP_BLOCK = 16   # trial amplitudes per block of the mountain-pass family
 def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
                               u: Profile,
                               thresholds: cst.Thresholds | None = None) -> Profile:
-    """Return u_{tau_minus}, u at its fiber maximum, exactly: the values
-    tau_minus^(N/2) u, renormalized to mass a, on the grid whose nodes are
-    u's nodes divided by tau_minus (r_max / tau_minus, same n, grading and
-    origin blend).  Norms on that grid scale as the fiber map's, so the
-    profile's energy is psi(tau_minus) and its Pohozaev value is 0, both up
-    to rounding; nothing is interpolated."""
+    """Return u_{tau_minus}, u at its fiber maximum: the exact dilation
+    `rescale(u, tau_minus)`, on its own grid r_max / tau_minus, renormalized
+    to mass a.  Norms on that grid scale as the fiber map's, so the profile's
+    energy is psi(tau_minus) and its Pohozaev value is 0, both to rounding."""
     cst.require_grid_dim(params, grid)
     rep = fnl.fiber_critical_points(params, grid, u, thresholds=thresholds)
     if rep.tau_minus is None:
         raise fnl.RegimeError(
             "no admissible projection: the fiber map is strictly decreasing")
-    tau = rep.tau_minus
-    g = grid.dilated(1.0 / tau)
-    vals = tau ** (grid.dim / 2.0) * u.values
-    w = Profile(g, vals * math.sqrt(params.a / mass(g, vals)))
-    nm = fnl.fiber_norms(params, g, w)
+    v = rescale(u, rep.tau_minus)
+    w = Profile(v.grid, v.values * math.sqrt(params.a / mass(v.grid, v)))
+    nm = fnl.fiber_norms(params, w.grid, w)
     pw = nm.pohozaev(params)
     if abs(pw) > P_RTOL * nm.grad2:
         raise RuntimeError(f"projection quality |P| = {abs(pw):.2e} exceeds "

@@ -515,6 +515,13 @@ def test_mountain_pass_witness_blows_up(tmp_path, capsys):
     assert doc["probe"] == "blowup" and doc["blowup_flag"] is True
     assert doc["blowup_time"] < 1.0
     assert doc["diagnostics"]["refused_steps"]["growth"] >= 1
+    # the diagnostics describe the grid the probe ran on: the witness's grid
+    # dilated by 1 / 1.05
+    ran = gridmod.load_profile(str(witness)).grid.dilated(1.0 / 1.05)
+    dr_min = float(np.min(np.diff(ran.nodes)))
+    assert doc["diagnostics"]["grid"] == {"n": 2048, "r_max": ran.r_max,
+                                          "origin_blend": 0.05, "dr_min": dr_min}
+    assert doc["diagnostics"]["dt_over_dr_min_sq"] == 1e-3 / dr_min ** 2
 
 
 @pytest.mark.parametrize("args", [
@@ -628,6 +635,27 @@ def test_profile_document_with_a_non_finite_grid_field_is_refused(field, value, 
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert json.loads(out)["message"].startswith(f"{field} must be")
+
+
+@pytest.mark.parametrize("args, dim", [
+    # make_grid's unnamed "non-monotone ... rule" RuntimeError before
+    (["constants", "--dim", "34", "--q", "2.05"], 34),
+    # "OverflowError: int too large to convert to float" before
+    (["fiber", "--profile", "dim.json", "--dim", "300000", "--q", "2.00001", "--a", "1.0"],
+     300000),
+])
+@pytest.mark.filterwarnings("error")
+def test_a_dimension_without_a_grid_is_refused_by_name(args, dim, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dim.json").write_text(json.dumps(
+        {"dim": 300000, "r_max": 30.0, "n": 16, "values": [0.1] * 16}) + "\n")
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["error_kind"] == "ValueError"
+    assert re.match(rf"no \d+-node rule in dim {dim} on r_max ", doc["message"]), doc["message"]
 
 
 @pytest.mark.parametrize("args, message", [

@@ -7,6 +7,7 @@ import pytest
 
 import nlscrit as nc
 from nlscrit import dynamics as dyn
+from nlscrit import functionals as fnl
 from nlscrit.dynamics import REFUSAL_REASONS, _RelaxationStepper, h1_distance
 
 
@@ -379,3 +380,18 @@ def test_profile_on_another_grid_is_refused(run):
     u = nc.Profile(wide, nc.gaussian(params, 1.0, wide).values.astype(complex))
     with pytest.raises(ValueError, match="the profile lives on another grid"):
         run(params, narrow, u)
+
+
+def test_blowup_probe_runs_the_exact_dilation_on_its_own_grid():
+    # the datum is tau^(N/2) v on the grid of nodes r_i / tau, the grid the
+    # report returns: its first energy is the fiber map psi(tau) of v
+    params = nc.ProblemParams(3, 2.5, 1.0, 1.0)
+    g = nc.make_grid(3, 10.0, 256, 0.0, 0.5)
+    v = nc.gaussian(params, 1.0, g)
+    v = nc.Profile(g, v.values * math.sqrt(params.a / nc.mass(g, v)))
+    amp = 1.25
+    rep = dyn.blowup_probe(params, g, v, amp, 1e-2)
+    assert (rep.grid.r_max, rep.grid.n) == ((1.0 / amp) * g.r_max, g.n)
+    assert np.array_equal(rep.grid.nodes, (1.0 / amp) * g.nodes)
+    nm = fnl.fiber_norms(params, g, v)
+    assert rep.summary.energy[0] == pytest.approx(fnl.psi_value(params, nm, amp), rel=1e-13)

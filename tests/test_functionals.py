@@ -40,30 +40,38 @@ def test_pohozaev_gaussian_analytic():
     assert fnl.pohozaev(p, g, u) == pytest.approx(exact, rel=1e-6)
 
 
+def _dilated_energy(params, u, tau):
+    w = nc.rescale(u, tau)   # the exact dilation lives on its own grid
+    return fnl.energy(params, w.grid, w)
+
+
 def test_energy_of_rescaled_equals_fiber_value(params_half, soliton_grid):
     g = soliton_grid
     u = profiles.gaussian(params_half, 1.2, g)
     nm = fnl.fiber_norms(params_half, g, u)
     for tau in (0.5, 1.0, 2.0):
-        direct = fnl.energy(params_half, g, nc.rescale(u, tau))
-        assert direct == pytest.approx(fnl.psi_value(params_half, nm, tau), rel=1e-5)
+        direct = _dilated_energy(params_half, u, tau)
+        assert direct == pytest.approx(fnl.psi_value(params_half, nm, tau), rel=1e-14)
 
 
 def test_fiber_derivative_identity(params_half, soliton_grid):
-    # tau psi'(tau) = P(u_tau): finite differences of the resampled energy
-    # against the Pohozaev value of the resampled profile
+    # tau psi'(tau) = P(u_tau): the Pohozaev value of the exact dilation
+    # against phi = tau psi' in closed form, to rounding, and against a
+    # fourth-order central difference of the dilated energies
     g = soliton_grid
     rng = np.random.default_rng(17)
     for _ in range(20):
         u = profiles.random_trial(rng).profile(g, params_half.a)
+        nm = fnl.fiber_norms(params_half, g, u)
         for tau in (0.6, 1.1):
-            d = 1e-3 * tau
-            ep = fnl.energy(params_half, g, nc.rescale(u, tau + d))
-            em = fnl.energy(params_half, g, nc.rescale(u, tau - d))
-            lhs = tau * (ep - em) / (2.0 * d)
-            rhs = fnl.pohozaev(params_half, g, nc.rescale(u, tau))
+            d = 1e-2 * tau
+            e = {k: _dilated_energy(params_half, u, tau + k * d) for k in (-2, -1, 1, 2)}
+            lhs = tau * (8.0 * (e[1] - e[-1]) - (e[2] - e[-2])) / (12.0 * d)
+            w = nc.rescale(u, tau)
+            rhs = fnl.pohozaev(params_half, w.grid, w)
             scale = max(abs(rhs), nc.grad_l2_sq(g, u))
-            assert abs(lhs - rhs) < 1e-5 * scale
+            assert abs(fnl.phi_value(params_half, nm, tau) - rhs) < 1e-13 * scale
+            assert abs(lhs - rhs) < 1e-6 * scale
 
 
 def test_two_root_structure_subcritical(params_half, soliton_grid, thr_half):
@@ -293,5 +301,6 @@ def test_lagrange_multiplier_scaling_consistency(params_half, soliton_grid):
     tau = 1.5
     predicted = (tau**2 * nm.grad2 - tau**ex.two_star * nm.crit
                  - params_half.mu * tau**ex.q_gamma_q * nm.sub) / nm.mass
-    got = fnl.lagrange_multiplier(params_half, soliton_grid, nc.rescale(u, tau))
-    assert got == pytest.approx(predicted, rel=1e-4)
+    w = nc.rescale(u, tau)
+    got = fnl.lagrange_multiplier(params_half, w.grid, w)
+    assert got == pytest.approx(predicted, rel=1e-13)

@@ -85,6 +85,16 @@ def test_make_grid_rejections():
                     nc.make_grid(3, n=256, **{"r_max": 10.0, "grading": 0.0, field: bad})
 
 
+@pytest.mark.parametrize("dim, r_max", [(34, 3e4), (92, 50.0), (52, 1.0), (2000, 50.0)])
+@pytest.mark.filterwarnings("error")
+def test_make_grid_names_the_dimension_it_cannot_build(dim, r_max):
+    # one past the largest dim that builds at n = 64 on each r_max; at dim
+    # 2000, comb(dim - 1, j) overflowed its conversion to float
+    nc.make_grid(dim - 1 if dim < 2000 else 91, r_max, 64)
+    with pytest.raises(ValueError, match=f"^no 64-node rule in dim {dim} on r_max {r_max}:"):
+        nc.make_grid(dim, r_max, 64)
+
+
 def test_integrate_linear_and_monotone():
     g = nc.make_grid(3, 10.0, 512)
     rng = np.random.default_rng(0)
@@ -418,6 +428,8 @@ def test_rescale_identity_and_errors():
         nc.rescale(u, 0.0)
     with pytest.raises(ValueError):
         nc.rescale(u, -2.0)
+    with pytest.raises(ValueError):
+        nc.rescale(u, math.nan)
 
 
 @pytest.mark.parametrize("tau", [0.25, 0.5, 2.0, 4.0])
@@ -425,20 +437,25 @@ def test_rescale_dilation_identities(tau):
     g = nc.make_grid(3, 40.0, 8192)
     u = gauss_profile(g, sigma=1.3)
     ut = nc.rescale(u, tau)
-    m0, mt = nc.mass(g, u), nc.mass(g, ut)
-    assert mt == pytest.approx(m0, rel=1e-6)
-    assert nc.grad_l2_sq(g, ut) == pytest.approx(tau**2 * nc.grad_l2_sq(g, u), rel=2e-4)
+    d = ut.grid
+    assert d.r_max == (1.0 / tau) * 40.0 and (d.n, d.grading, d.origin_blend) == (g.n, 0.0, 0.0)
+    assert np.array_equal(d.nodes, (1.0 / tau) * g.nodes)
+    assert np.array_equal(ut.values, tau ** 1.5 * u.values)
+    assert nc.mass(d, ut) == pytest.approx(nc.mass(g, u), rel=1e-14)
+    assert nc.grad_l2_sq(d, ut) == pytest.approx(tau**2 * nc.grad_l2_sq(g, u), rel=1e-14)
     for t in (2.5, 6.0):
         gam_t = 3.0 / 2.0 - 3.0 / t
-        assert lq_norm_pow(g, ut, t) == pytest.approx(
-            tau ** (t * gam_t) * lq_norm_pow(g, u, t), rel=2e-4)
+        assert lq_norm_pow(d, ut, t) == pytest.approx(
+            tau ** (t * gam_t) * lq_norm_pow(g, u, t), rel=1e-14)
 
 
 def test_rescale_tau2_grad_value():
+    # the discretization error of ||grad u||^2 is carried over unchanged
     g = nc.make_grid(3, 40.0, 8192)
     u = gauss_profile(g)
     ut = nc.rescale(u, 2.0)
-    assert nc.grad_l2_sq(g, ut) == pytest.approx(4.0 * 1.5 * math.pi**1.5, rel=2e-4)
+    assert nc.grad_l2_sq(ut.grid, ut) == pytest.approx(4.0 * nc.grad_l2_sq(g, u), rel=1e-14)
+    assert nc.grad_l2_sq(ut.grid, ut) == pytest.approx(4.0 * 1.5 * math.pi**1.5, rel=1e-6)
 
 
 def test_profile_requires_finite_matching_values():
@@ -549,10 +566,13 @@ def test_pchip_matches_scipy_to_the_bit(name):
 @pytest.mark.parametrize("tau", [0.7, 1.9])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_rescale_matches_scipy_pchip_to_the_bit(tau, cplx):
+    # the dilation u_tau that rescale used to interpolate onto u's own grid
+    # is, bit for bit, tau^(N/2) times resample onto the grid dilated by tau:
+    # the even extension through r = 0, the Dirichlet 0 at r_max and 0 beyond
     g = nc.make_grid(3, 40.0, 8192)
     r = g.nodes
     vals = np.exp(-r ** 2 / 2.0) * (1.0 + (0.3j if cplx else 0.3) * np.sin(r))
-    got = nc.rescale(nc.Profile(g, vals), tau).values
+    got = tau ** 1.5 * nc.resample(nc.Profile(g, vals), g.dilated(tau)).values
 
     def ref(v):
         v0 = v[0] + (v[0] - v[1]) * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
