@@ -207,7 +207,7 @@ def _gtsv_for(*arrays: np.ndarray):
     array is float64 or complex128, so no input drops to single precision."""
     dtypes = {a.dtype for a in arrays}
     if not dtypes <= {_F64, _C128}:
-        raise TypeError("tridiag_solve takes float64 or complex128 arrays, got "
+        raise TypeError("TridiagBand takes float64 or complex128 arrays, got "
                         + ", ".join(sorted(map(str, dtypes))))
     return _ZGTSV if _C128 in dtypes else _DGTSV
 
@@ -217,36 +217,14 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("tridiagonal system must not contain infs or NaNs")
 
 
-def _gtsv(gtsv, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-          rhs: np.ndarray, overwrite: int) -> np.ndarray:
-    """x of the checked system; with `overwrite`, gtsv may destroy the bands
-    and write x into rhs's storage."""
-    *_, x, info = gtsv(lower, diag, upper, rhs, overwrite, overwrite, overwrite, overwrite)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x
-
-
-def tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve T x = rhs for the symmetric tridiagonal T with diagonal `diag`
-    and both off-diagonals `off`, by LAPACK gtsv; rhs may hold several
-    columns.  Same routine and contract as scipy's (1, 1)-banded solver:
-    ValueError on non-finite input, LinAlgError when T is singular.  The
-    arrays are float64 or complex128 (zgtsv if any is complex): TypeError
-    on any other dtype, so no input drops to single precision.  The inputs
-    are left as they are."""
-    gtsv = _gtsv_for(off, diag, rhs)
-    _require_finite(off, diag, rhs)
-    return _gtsv(gtsv, off, diag, off, rhs, 0)
-
-
 class TridiagBand:
     """The off-diagonal `off` of a run of symmetric tridiagonal systems that
-    share it, as a time stepper's Cayley matrices at one step size do.  It
-    is checked once, here, as tridiag_solve checks it, and kept as a
-    read-only copy next to the two scratch copies that each solve destroys."""
+    share it, solved by LAPACK gtsv: a Newton iteration's Jacobians, or a
+    time stepper's Cayley matrices at one step size.  The arrays are float64
+    or complex128 (zgtsv if any is complex): TypeError on any other dtype,
+    so no input drops to single precision.  `off` is checked once, here,
+    and kept as a read-only copy next to the two scratch copies that each
+    solve destroys."""
 
     def __init__(self, off: np.ndarray):
         _gtsv_for(off)
@@ -256,23 +234,30 @@ class TridiagBand:
         self._lower, self._upper = np.empty_like(off), np.empty_like(off)
 
     def solve_inplace(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """tridiag_solve(off, diag, rhs), with its TypeError, ValueError and
-        LinAlgError, but solved in place: gtsv overwrites `diag` and writes x
-        into the storage of `rhs`, which it returns, when diag and rhs have
-        the routine's dtype and Fortran order, as 1-D contiguous arrays do
-        (else it works on copies of them)."""
+        """x of T x = rhs, T the matrix of diagonal `diag` and both
+        off-diagonals `off`; rhs may hold several columns.  Same routine as
+        scipy's (1, 1)-banded solver: ValueError on non-finite input,
+        LinAlgError when T is singular.  Solved in place: gtsv overwrites
+        `diag` and writes x into the storage of `rhs`, which it returns, when
+        diag and rhs have the routine's dtype and Fortran order, as 1-D
+        contiguous arrays do (else it works on copies of them)."""
         gtsv = _gtsv_for(self.off, diag, rhs)
         _require_finite(diag, rhs)
         np.copyto(self._lower, self.off)
         np.copyto(self._upper, self.off)
-        return _gtsv(gtsv, self._lower, diag, self._upper, rhs, 1)
+        *_, x, info = gtsv(self._lower, diag, self._upper, rhs, 1, 1, 1, 1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gtsv")
+        return x
 
 
 class SPDFactor:
     """The LDL^T factor of a symmetric positive definite tridiagonal T with
     diagonal `diag` and both off-diagonals `off`, made once by LAPACK pttrf
     and applied by pttrs, so that a run of solves with one matrix pays the
-    elimination once.  The contract of tridiag_solve, for float64 only:
+    elimination once.  The contract of TridiagBand, for float64 only:
     TypeError on any other dtype; ValueError on non-finite input, the bands
     checked here and each right-hand side at its solve; LinAlgError when T
     is not positive definite.  The inputs are left as they are and the
@@ -304,16 +289,6 @@ def _require_float64(*arrays: np.ndarray) -> None:
     if dtypes != {_F64}:
         raise TypeError("SPDFactor takes float64 arrays, got "
                         + ", ".join(sorted(map(str, dtypes))))
-
-
-def scaled_tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray,
-                         scale: np.ndarray) -> np.ndarray:
-    """tridiag_solve through (S T S) y = S rhs, x = S y, S = diag(scale).
-    Newton Jacobians here are not diagonally dominant, and unscaled, gtsv's
-    pivoting loses the core rows of w = 0 grids (entries ~1e-22 at N = 6);
-    scale = diag(P)^(-1/2), P a positive part of T, makes every row O(1)."""
-    sc = scale if rhs.ndim == 1 else scale[:, None]
-    return sc * tridiag_solve(scale[:-1] * scale[1:] * off, scale * scale * diag, sc * rhs)
 
 
 @dataclass(frozen=True, eq=False)

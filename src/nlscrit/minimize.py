@@ -48,8 +48,8 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, coarse_grid, lq_norm_pow, mass,
-                   require_on_grid, resample, rescale, scaled_tridiag_solve)
+from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, TridiagBand, coarse_grid,
+                   lq_norm_pow, mass, require_on_grid, resample, rescale)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
@@ -155,7 +155,11 @@ def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
     Returns (u, ok, res) of the last iterate; ok when res < floor."""
     W, a = grid.full_weights, params.a
     diag, off = grid.stiffness_bands()
+    # the Jacobians are not diagonally dominant, and unscaled, gtsv's pivoting
+    # loses the core rows of w = 0 grids (entries ~1e-22 at N = 6): each step
+    # solves (S J S) y = S rhs, x = S y, S = diag(A + W)^(-1/2), whose rows are O(1)
     sc = 1.0 / np.sqrt(diag + W)
+    band = TridiagBand(sc[:-1] * sc[1:] * off)
 
     def state(v):
         lam = _norms(params, grid, v).lagrange_multiplier(params)
@@ -167,10 +171,10 @@ def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
             break
         try:
             jac = diag - W * (_nonlinear_prime(params, u) + lam)
-            X = scaled_tridiag_solve(off, jac, np.column_stack([-F, W * u]), sc)
+            X = band.solve_inplace(sc * sc * jac, sc[:, None] * np.column_stack([-F, W * u]))
         except np.linalg.LinAlgError:
             break
-        x, y = X[:, 0], X[:, 1]
+        x, y = sc * X[:, 0], sc * X[:, 1]
         denom = 2.0 * float(np.dot(W * u, y))
         if denom == 0.0 or not np.isfinite(denom):
             break
@@ -320,6 +324,8 @@ def _solve(params: cst.ProblemParams, grid: RadialGrid, init: Profile, tol: floa
             _, res_new = _residual(params, grid, u_new, nn.lagrange_multiplier(params))
             if res_new < res:
                 u, res, E, nm = u_new, res_new, nn.energy(params), nn
+        elif ok:   # the critical point the polish found lies outside the ball
+            boundary_hit = True
 
     converged = res < tol * max(1.0, abs(E))
     if np.dot(W, u) < 0.0:   # sign normalization

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, coarse_grid, resample,
-                   scaled_tridiag_solve)
+from .grid import COARSE_N, Profile, RadialGrid, SPDFactor, TridiagBand, coarse_grid, resample
 
 
 def ode_coefficients(dim: int, q: float) -> tuple[float, float]:
@@ -81,7 +80,7 @@ def _ground_state(q: float, grid: RadialGrid, u: np.ndarray | None = None) -> np
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
     L_diag, L_off = A * diag + B * W, A * off
-    sc = 1.0 / np.sqrt(L_diag)   # the Newton solve's scale
+    sc = 1.0 / np.sqrt(L_diag)   # the Newton solve's scale, as in minimize._newton_polish
 
     def residual(u):
         Lu = A * grid.stiffness_apply(u) + B * W * u
@@ -103,11 +102,12 @@ def _ground_state(q: float, grid: RadialGrid, u: np.ndarray | None = None) -> np
                 u = stab * L.solve(nl)
             else:
                 raise RuntimeError(f"Petviashvili iteration stalled at residual {res:.2e}")
+            band = TridiagBand(sc[:-1] * sc[1:] * L_off)
             for _ in range(NEWTON_MAX):
                 if res < NEWTON_TOL:
                     break
                 jac = L_diag - (q - 1.0) * W * np.abs(u) ** (q - 2.0)
-                v = u - scaled_tridiag_solve(L_off, jac, Lu - nl, sc)
+                v = u - sc * band.solve_inplace(sc * sc * jac, sc * (Lu - nl))
                 Lv, nv, res_v = residual(v)
                 if not res_v < res:
                     break

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import nlscrit as nc
 from nlscrit import dynamics as dyn
 from nlscrit import functionals as fnl
+from nlscrit import minimize as mn
+from nlscrit import mountainpass as mp
 from nlscrit.dynamics import REFUSAL_REASONS, _RelaxationStepper, h1_distance
 
 
@@ -114,6 +117,25 @@ def test_blowup_probe_fires_on_witness(blowup_half):
     rep = blowup_half
     assert rep.blowup_flag
     assert rep.blowup_time is not None and rep.blowup_time < 10.0
+
+
+def test_blowup_probe_flags_kinetic_growth(params_half, thr_half, monkeypatch):
+    # every other blow-up here ends at DT_MIN; with the growth factor at 1.5
+    # the kinetic norm crosses it at step 19 (t = 0.0024) while the step size
+    # is 1.95e-6.  At 3.0 the step-size floor fires first (growth 2.03)
+    g = nc.make_grid(3, 50.0, 2048)
+    minimizer = mn.minimize_local(params_half, g, thresholds=thr_half)
+    witness = mp.estimate_mp_level(params_half, g, minimizer=minimizer,
+                                   thresholds=thr_half).witness
+    focus = nc.make_grid(3, 30.0, 2048, origin_blend=0.002)
+    w = nc.resample(witness, focus)
+    w = nc.Profile(focus, w.values * math.sqrt(params_half.a / nc.mass(focus, w)))
+    monkeypatch.setattr(dyn, "BLOWUP_FACTOR", 1.5)
+    rep = dyn.blowup_probe(params_half, focus, w, 1.05, 10.0, dt=1e-3, stride=10)
+    s = rep.summary
+    assert rep.blowup_flag and s.dt_final > 2.0 * dyn.DT_MIN
+    assert 1.5 < s.grad_norm[-1] / s.grad_norm[0] < 1.6
+    assert s.times[-1] == rep.blowup_time < 10.0
 
 
 def test_blowup_probe_quiet_on_standing_witness(params_half, focus_grid,
@@ -304,9 +326,11 @@ class AllocatingStepper(_RelaxationStepper):
         W = self.grid.full_weights
         diag, off = self.grid.stiffness_bands()
         idt2 = 0.5j * dt
+        o = idt2 * off
+        ab = np.vstack([np.concatenate([[0.0], o]), (W + idt2 * diag) - (idt2 * W) * ups_new,
+                        np.concatenate([o, [0.0]])])
         try:
-            x = nc.grid.tridiag_solve(idt2 * off, (W + idt2 * diag) - (idt2 * W) * ups_new,
-                                      W * psi)
+            x = solve_banded((1, 1), ab, W * psi)
         except np.linalg.LinAlgError:
             return self._refuse("singular")
         new = 2.0 * x - psi

@@ -16,7 +16,7 @@ from scipy.linalg import solve_banded
 import nlscrit as nc
 from nlscrit import grid as grid_mod
 from nlscrit.grid import (SPDFactor, TridiagBand, pchip, lq_norm_pow, profile_from_dict,
-                          profile_to_dict, tridiag_solve)
+                          profile_to_dict)
 
 
 def gauss_profile(grid, sigma=1.0):
@@ -181,9 +181,20 @@ def tridiag_systems():
             (off, d - W * u, A - np.diag(W * u), np.column_stack([u, W * u]))]
 
 
+def band_solve(off, diag, rhs):
+    """TridiagBand's x of one system, on copies of diag and rhs."""
+    return TridiagBand(off).solve_inplace(diag.copy(), rhs.copy())
+
+
+def banded_solve(off, diag, rhs):
+    """scipy's (1, 1)-banded solve of the symmetric tridiagonal system."""
+    ab = np.vstack([np.concatenate([[0.0], off]), diag, np.concatenate([off, [0.0]])])
+    return solve_banded((1, 1), ab, rhs)
+
+
 def test_tridiag_solve_matches_dense():
     for o, diag, dense, rhs in tridiag_systems():
-        x = tridiag_solve(o, diag, rhs)
+        x = band_solve(o, diag, rhs)
         assert x.shape == rhs.shape
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=0)
 
@@ -209,7 +220,7 @@ def test_grid_h1_factor_matches_tridiag_solve(blend):
     g = nc.make_grid(3, 50.0, 8192, origin_blend=blend)
     d, off = g.stiffness_bands()
     rhs = g.full_weights * np.exp(-g.nodes) * np.cos(g.nodes)
-    x_ref = tridiag_solve(off, d + g.full_weights, rhs)
+    x_ref = banded_solve(off, d + g.full_weights, rhs)
     x = g.h1_factor.solve(rhs)
     assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
 
@@ -271,9 +282,9 @@ def test_flapack_is_the_module_scipy_imports():
 
 @pytest.mark.parametrize("failure", ["not found", "does not load"])
 def test_gtsv_fallback_gives_the_same_x(failure, monkeypatch):
-    # every routine of the fallback lookup: gtsv through tridiag_solve, and
+    # every routine of the fallback lookup: gtsv through TridiagBand, and
     # pttrf and pttrs through SPDFactor on the positive definite systems
-    expected = [tridiag_solve(o, diag, rhs) for o, diag, _, rhs in tridiag_systems()]
+    expected = [band_solve(o, diag, rhs) for o, diag, _, rhs in tridiag_systems()]
     spd = [(o, diag, rhs) for o, diag, _, rhs in spd_systems()]
     expected_spd = [SPDFactor(o, diag).solve(rhs) for o, diag, rhs in spd]
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
@@ -291,7 +302,7 @@ def test_gtsv_fallback_gives_the_same_x(failure, monkeypatch):
     for name, routine in zip(LAPACK_ROUTINES, routines):
         monkeypatch.setattr(grid_mod, name, routine)
     for (o, diag, _, rhs), x in zip(tridiag_systems(), expected):
-        assert np.array_equal(tridiag_solve(o, diag, rhs), x)
+        assert np.array_equal(band_solve(o, diag, rhs), x)
     for (o, diag, rhs), x in zip(spd, expected_spd):
         assert np.array_equal(SPDFactor(o, diag).solve(rhs), x)
 
@@ -304,7 +315,7 @@ def test_tridiag_solve_rejects_other_dtypes(dtype):
         args = [off, diag, rhs]
         args[i] = args[i].astype(dtype)
         with pytest.raises(TypeError):
-            tridiag_solve(*args)
+            band_solve(*args)
 
 
 def test_tridiag_solve_rejects_nonfinite_and_singular():
@@ -315,9 +326,9 @@ def test_tridiag_solve_rejects_nonfinite_and_singular():
         nan_copy[3] = np.nan
         args = [nan_copy if a is bad else a for a in (off, diag, rhs)]
         with pytest.raises(ValueError):
-            tridiag_solve(*args)
+            band_solve(*args)
     with pytest.raises(np.linalg.LinAlgError):
-        tridiag_solve(np.zeros(n - 1), np.zeros(n), rhs)
+        band_solve(np.zeros(n - 1), np.zeros(n), rhs)
 
 
 def test_tridiag_solve_nonfinite_wins_and_returns_gtsv_x():
@@ -326,27 +337,28 @@ def test_tridiag_solve_nonfinite_wins_and_returns_gtsv_x():
     diag = np.zeros(n)
     diag[3] = np.nan
     with pytest.raises(ValueError):
-        tridiag_solve(np.zeros(n - 1), diag, np.ones(n))
+        band_solve(np.zeros(n - 1), diag, np.ones(n))
     # an inf on the diagonal leaves gtsv's x finite (x[3] = 0)
     diag = np.full(n, 4.0)
     diag[3] = np.inf
     with pytest.raises(ValueError):
-        tridiag_solve(np.ones(n - 1), diag, np.ones(n))
+        band_solve(np.ones(n - 1), diag, np.ones(n))
     # finite entries whose sum overflows are solved, without a warning
-    x = tridiag_solve(np.full(n - 1, 1e307), np.full(n, 1e308), np.full(n, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = band_solve(np.full(n - 1, 1e307), np.full(n, 1e308), np.full(n, 1e308))
     assert np.all(np.isfinite(x))
     # a finite, non-singular system returns gtsv's x bit for bit
     rng = np.random.default_rng(7)
     off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
     diag = 4.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rhs = rng.standard_normal((n, 2)) + 0j
-    ab = np.vstack([np.concatenate([[0.0], off]), diag, np.concatenate([off, [0.0]])])
-    assert np.array_equal(tridiag_solve(off, diag, rhs), solve_banded((1, 1), ab, rhs))
+    assert np.array_equal(band_solve(off, diag, rhs), banded_solve(off, diag, rhs))
 
 
 def test_band_solve_inplace_is_tridiag_solve_in_rhs_storage():
     for o, diag, _, rhs in tridiag_systems():
-        x_ref = tridiag_solve(o, diag, rhs)
+        x_ref = banded_solve(o, diag, rhs)
         band = TridiagBand(o)
         for _ in range(2):      # the band survives its solves
             d, b = diag.copy(), rhs.copy()

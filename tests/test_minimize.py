@@ -433,3 +433,41 @@ def test_a_solve_the_grid_does_not_hold_is_repeated_on_the_stretched_grid(monkey
     direct = mn.minimize_local(params, rep.final.grid, thresholds=thr)
     assert direct.converged
     assert rep.energy == pytest.approx(direct.energy, rel=1e-10)
+
+
+@pytest.mark.parametrize("frac", [0.9, 0.7, 0.5, 0.3])
+def test_a_minimizer_pinned_at_the_ball_is_a_boundary_hit(frac):
+    # with rho0 below the minimizer's ||grad u||^2 the descent sits on the
+    # ball; at 0.9, 0.7 and 0.5 it handed over to Newton there (flat E), and
+    # the polish's critical point outside the ball (1.11 rho0 at 0.9) was
+    # refused without a report; at 0.3 the last line search was refused
+    params, thr = _point(3, 2.5)
+    g = nc.make_grid(3, 50.0, 2048)
+    init = _gaussian_seed(params, g)
+    free = mn.minimize_local(params, g, init=init, thresholds=thr)
+    assert free.converged
+    rho0 = frac * g.stiffness_quad(free.final.values)
+    rep = mn._solve(params, g, init, 1e-8, rho0)
+    assert rep.boundary_hit and not rep.converged
+    assert g.stiffness_quad(rep.final.values) < rho0
+
+
+def test_a_singular_newton_step_ends_the_polish(monkeypatch):
+    # the polish keeps its last iterate, here the descent's: the same state
+    # as a polish that takes no step
+    params, thr = _point(3, 2.5)
+    g = nc.make_grid(3, 50.0, 2048)
+    init = _gaussian_seed(params, g)
+
+    class Singular(nc.grid.TridiagBand):
+        def solve_inplace(self, diag, rhs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(mn, "TridiagBand", Singular)
+    rep = mn.minimize_local(params, g, init=init, thresholds=thr)
+    monkeypatch.undo()
+    assert not rep.converged and rep.grad_residual > 1e-8
+    monkeypatch.setattr(mn, "NEWTON_MAX", 0)
+    ref = mn.minimize_local(params, g, init=init, thresholds=thr)
+    assert np.array_equal(rep.final.values, ref.final.values)
+    assert (rep.energy, rep.grad_residual) == (ref.energy, ref.grad_residual)
