@@ -146,7 +146,8 @@ def _cmd_constants(args: argparse.Namespace) -> dict:
 
 
 def _cmd_profile(args: argparse.Namespace) -> dict:
-    params = _resolve_mass(args)
+    # only the gaussian has a mass: weinstein needs (N, q), the bubble nothing
+    params = _resolve_mass(args) if args.kind == "gaussian" else _problem(args)
     g = _make_grid(args)
     if args.kind == "weinstein":
         p = profiles.weinstein_ground_state(params.q, g)

@@ -133,7 +133,7 @@ class _RelaxationStepper:
 
     def grad_l2_sq(self, psi: np.ndarray) -> float:
         """grad_l2_sq(grid, psi) for complex psi, to the bit, computed in the
-        workspace: the same differences, products and complex dot product."""
+        workspace so that a step allocates nothing: grad_dot's arithmetic."""
         dv, prod = self._diag, self._spare
         np.subtract(psi[1:], psi[:-1], out=dv[:-1])
         np.subtract(0.0, psi[-1:], out=dv[-1:])    # the Dirichlet ghost value 0

@@ -396,9 +396,17 @@ def grad_l2_sq(grid: RadialGrid, u: Profile | np.ndarray) -> float:
 
     Equals the exact H^1_0 seminorm of the piecewise-linear interpolant
     (value 0 at r_max, zero slope inside [0, r_1])."""
-    v = u.values if isinstance(u, Profile) else np.asarray(u)
-    dv = np.diff(np.concatenate([v, [0.0]]))
-    return float(np.real(np.dot(grid.interval_stiffness, dv * np.conj(dv))))
+    return grad_dot(grid, u, u)
+
+
+def grad_dot(grid: RadialGrid, u: Profile | np.ndarray, v: Profile | np.ndarray) -> float:
+    """Re omega int u' conj(v') r^(N-1) dr, the bilinear form of grad_l2_sq:
+    Re sum_j k_j du_j conj(dv_j) over the compact differences, each with the
+    Dirichlet ghost value 0 after the last node."""
+    du, dv = (np.diff(np.append(w.values if isinstance(w, Profile) else w, 0.0))
+              for w in (u, v))
+    dv = np.conj(dv) if np.iscomplexobj(dv) else dv   # a real dv needs no conjugate copy
+    return float(np.real(np.dot(grid.interval_stiffness, du * dv)))
 
 
 def _pchip_edge(h0, h1, m0, m1):

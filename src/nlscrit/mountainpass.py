@@ -30,7 +30,7 @@ from . import constants as cst
 from . import functionals as fnl
 from . import minimize as minmod
 from . import profiles
-from .grid import Profile, RadialGrid, mass, rescale
+from .grid import Profile, RadialGrid, grad_dot, grad_l2_sq, lq_norm_pow, mass, rescale
 
 P_RTOL = 1e-6    # largest accepted |P| / ||grad||^2 of a projected profile
 BUMP_CENTER = 1.5       # the bump that cpo case 2 adds to the ground state
@@ -106,14 +106,11 @@ def _family_norms(params: cst.ProblemParams, grid: RadialGrid,
     ||grad w||^2 = c^2 (g_uu + 2 s g_ub + s^2 g_bb) are quadratics in s of
     three inner products each."""
     ts, q = params.ex.two_star, params.q
-    k = grid.interval_stiffness
     m = int(np.count_nonzero(grid.nodes < 2.0 * family.cutoff_radius))
     W, head = grid.full_weights[:m], umin[:m]
     Wt, tail = grid.full_weights[m:], np.abs(umin[m:])
     tail_crit, tail_sub = float(np.dot(Wt, tail ** ts)), float(np.dot(Wt, tail ** q))
-    m_uu = float(np.dot(grid.full_weights, umin * umin))
-    du = np.diff(np.append(umin, 0.0))
-    g_uu = float(np.dot(k, du * du))
+    m_uu, g_uu = mass(grid, umin), grad_l2_sq(grid, umin)
     amps = np.asarray(family.amplitudes, dtype=float)
     shape = (len(family.bubble_widths), len(amps))
     m2, grad2, crit, sub = (np.empty(shape) for _ in range(4))
@@ -124,8 +121,7 @@ def _family_norms(params: cst.ProblemParams, grid: RadialGrid,
         bub = profiles.cutoff_profile(
             profiles.aubin_talenti(b, grid), family.cutoff_radius).values
         bubbles.append(bub)
-        db = np.diff(np.append(bub, 0.0))
-        g_ub, g_bb = float(np.dot(k, du * db)), float(np.dot(k, db * db))
+        g_ub, g_bb = grad_dot(grid, umin, bub), grad_l2_sq(grid, bub)
         m_ub, m_bb = float(np.dot(W, head * bub[:m])), float(np.dot(W, bub[:m] * bub[:m]))
         m2[i] = m_uu + 2.0 * amps * m_ub + amps * amps * m_bb
         grad2[i] = g_uu + 2.0 * amps * g_ub + amps * amps * g_bb
@@ -190,7 +186,6 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     N = params.dim
     upper = m_a + thresholds.S ** (N / 2.0) / N
     a = params.a
-    W = grid.full_weights
     umin = minimizer.final.values
 
     trace, failures, best = _family_levels(params, grid, family, umin)
@@ -200,7 +195,7 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     # projection do not depend on the blocked norms' rounding
     bub, s = best
     vals = umin + s * bub
-    w = Profile(grid, vals * math.sqrt(a / float(np.dot(W, vals * vals))))
+    w = Profile(grid, vals * math.sqrt(a / mass(grid, vals)))
     level = fnl.fiber_critical_points(params, grid, w, thresholds=thresholds).e_at_tau_minus
     witness = project_to_pohozaev_minus(params, grid, w, thresholds=thresholds)
     accepted = bool(0.0 < level < upper)
@@ -278,7 +273,6 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
     W = grid.full_weights
     k_int = grid.interval_stiffness
     r = grid.nodes
-    uext = np.concatenate([u, [0.0]])
     kept_floor = grid.n * np.finfo(float).eps
 
     ratios, energies, checks = [], [], []
@@ -288,13 +282,10 @@ def cpo_sequence_case1(params: cst.ProblemParams, grid: RadialGrid,
         dm = float(np.dot(W, sm * (2.0 - sm) * u * u))          # 1 - phi^2
         dh = float(np.dot(W, _one_minus_pow(sm, q) * np.abs(u) ** q))
         ds = float(np.dot(W, _one_minus_pow(sm, ts) * np.abs(u) ** ts))
-        # gradient tail: g(u) - g(phi u) via the compact-difference form
-        vext = np.concatenate([phi * u, [0.0]])
-        wext = np.concatenate([sm * u, [0.0]])                  # (1 - phi) u
-        du = np.diff(uext)
-        dv = np.diff(vext)
-        dwd = np.diff(wext)
-        dg = float(np.dot(k_int, dwd * (du + dv)))
+        # gradient tail g(u) - g(phi u), written out: grad_dot((1 - phi) u, u + phi u)
+        # would difference the sum, which rounds otherwise.  sm u = (1 - phi) u
+        du, dv, dw = (np.diff(np.append(f, 0.0)) for f in (u, phi * u, sm * u))
+        dg = float(np.dot(k_int, dw * (du + dv)))
         hv = hu - dh
         kept_m, kept_s = a_used - dm, su - ds
         # what the cutoff keeps must exceed the rounding of the n-term sums
@@ -350,19 +341,15 @@ def cpo_sequence_case2(params: cst.ProblemParams, grid: RadialGrid,
 
     Q = profiles.weinstein_ground_state(q, grid).values
     bump = _mollifier_bump(grid.nodes)
-    W, k = grid.full_weights, grid.interval_stiffness
-    db = np.diff(np.append(bump, 0.0))
+    W = grid.full_weights
 
     def quotient(s: float) -> tuple[float, float]:
         """The quotient g2 m2^((q-2)/2) / h_q of Q + s bump (q gamma_q = 2)
         and its s-derivative, from the logarithmic derivatives of its factors."""
         v = Q + s * bump
-        dv = np.diff(np.append(v, 0.0))
-        g2 = float(np.dot(k, dv * dv))                # grad_l2_sq, to the bit
-        m2 = float(np.dot(W, v * v))
-        hq = float(np.dot(W, np.abs(v) ** q))
+        g2, m2, hq = grad_l2_sq(grid, v), mass(grid, v), lq_norm_pow(grid, v, q)
         val = g2 * m2 ** ((q - 2.0) / 2.0) / hq
-        dlog = (2.0 * float(np.dot(k, dv * db)) / g2
+        dlog = (2.0 * grad_dot(grid, v, bump) / g2
                 + (q - 2.0) * float(np.dot(W, v * bump)) / m2
                 - q * float(np.dot(W, np.abs(v) ** (q - 2.0) * v * bump)) / hq)
         return val, val * dlog

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import COARSE_N, Profile, RadialGrid, SPDFactor, TridiagBand, coarse_grid, resample
+from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, TridiagBand, coarse_grid, mass,
+                   resample)
 
 
 def ode_coefficients(dim: int, q: float) -> tuple[float, float]:
@@ -198,8 +199,7 @@ class TrialFunction:
     def profile(self, grid: RadialGrid, target_mass: float) -> Profile:
         """Sample f on the grid, renormalized to the requested mass."""
         vals = self(grid.nodes)
-        m = float(np.dot(grid.full_weights, vals * vals))
-        return Profile(grid, vals * math.sqrt(target_mass / m))
+        return Profile(grid, vals * math.sqrt(target_mass / mass(grid, vals)))
 
 
 TRIAL_SIGMA_RANGE = (0.6, 2.5)   # log-uniform widths of random_trial

@@ -374,6 +374,35 @@ def test_sweep_solves_ground_state_once(capsys, monkeypatch):
     assert calls == [(3, 2.5)]
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "weinstein", "--dim", "4", "--q", "3"],
+    ["--kind", "bubble", "--dim", "3", "--q", "auto"],
+])
+def test_profile_without_a_mass_runs_at_critical_q(args, capsys):
+    # only the gaussian has a mass; a0 is undefined at q = 2 + 4/N
+    code, out = run_cli(["profile", "--grid-n", "512"] + args, capsys)
+    assert code == 0
+    assert json.loads(out)["kind"] == args[1]
+
+
+def test_readme_profile_solves_ground_state_once(tmp_path, capsys, monkeypatch):
+    # the Weinstein profile needs no mass: no C_Nq, so one solve, not two
+    calls = []
+    solve = cli.profiles.weinstein_ground_state
+
+    def counted(q, grid):
+        calls.append((grid.dim, q))
+        return solve(q, grid)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.profiles, "weinstein_ground_state", counted)
+    cli.cst._gn_constant_cached.cache_clear()
+    code, _ = run_cli(["profile", "--kind", "weinstein", "--dim", "3", "--q", "2.5",
+                       "--out", "Q.json"], capsys)
+    assert code == 0
+    assert calls == [(3, 2.5)]
+
+
 def test_sweep_unconverged_solve_is_row_error(capsys, monkeypatch):
     def unconverged(params, g, tol, thr):
         return cli.minmod.SolveReport(

@@ -165,6 +165,23 @@ def test_stiffness_apply_and_quad_match_dense():
         assert g.stiffness_quad(u) == pytest.approx(nc.grad_l2_sq(g, u), rel=1e-13)
 
 
+def test_grad_dot_is_the_bilinear_form_of_grad_l2_sq():
+    g = nc.make_grid(3, 20.0, 256, grading=1.0)
+    r = g.nodes
+    real, other = np.exp(-r**2 / 2.0), (1.0 + r) * np.exp(-r / 3.0)
+    for u, v in ((real, other), (real * np.exp(0.3j * r), other * np.exp(-0.7j * r))):
+        assert grid_mod.grad_dot(g, u, v) == grid_mod.grad_dot(g, v, u)
+        for w in (u, v):
+            assert nc.grad_l2_sq(g, w) == grid_mod.grad_dot(g, w, w)
+        # two references that do not use grad_dot: polarization and v.A.u
+        gu, gv = nc.grad_l2_sq(g, u), nc.grad_l2_sq(g, v)
+        scale = 1e-14 * (gu + gv)
+        polar = 0.5 * (nc.grad_l2_sq(g, u + v) - gu - gv)
+        assert grid_mod.grad_dot(g, u, v) == pytest.approx(polar, rel=0, abs=scale)
+        vau = float(np.real(np.vdot(v, g.stiffness_apply(u))))
+        assert grid_mod.grad_dot(g, u, v) == pytest.approx(vau, rel=0, abs=scale)
+
+
 def tridiag_systems():
     """(off, diag, dense matrix, rhs): real and complex, one and two columns."""
     g = nc.make_grid(3, 10.0, 64)
