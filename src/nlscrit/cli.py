@@ -230,13 +230,12 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> dict:
     family = mp.MPFamilySpec()
     est = mp.estimate_mp_level(params, g, family, minimizer=rep, thresholds=thr)
     size = len(family.bubble_widths) * len(family.amplitudes)
-    wn = fnl.fiber_norms(params, est.witness.grid, est.witness)
-    witness_energy = wn.energy(params)
+    witness_energy = est.witness_norms.energy(params)
     doc = {
         "level": est.level, "m_a": est.m_a, "upper_bound": est.upper_bound,
         "accepted": est.accepted,
         "witness_energy": witness_energy,
-        "witness_pohozaev": wn.pohozaev(params),
+        "witness_pohozaev": est.witness_norms.pohozaev(params),
         "family_trace": _downsample(est.family_trace),
         "diagnostics": {
             "family_size": size, "admitted": len(est.family_trace),

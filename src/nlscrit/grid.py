@@ -291,6 +291,48 @@ def _require_float64(*arrays: np.ndarray) -> None:
                         + ", ".join(sorted(map(str, dtypes))))
 
 
+NEWTON_MAX = 80   # Newton steps of one damped_newton run
+
+
+def damped_newton(off: np.ndarray, m_diag: np.ndarray, state: Callable, step: Callable,
+                  st: tuple, target: float, floor: float) -> tuple:
+    """The one Newton run of the stationary solves, from st = state(u) =
+    (u, ..., res) down to residual `target`; returns the last state taken.
+    The step is step(st, solve), where solve(jac_diag, rhs), for one or two
+    columns, solves the symmetric tridiagonal J of diagonal jac_diag and
+    off-diagonal `off` as S J S, S = diag(m_diag)^(-1/2), in one TridiagBand.
+    At residuals >= `floor` a step that does not lower the residual is halved,
+    down to 2^-10; below, it ends the run (the rounding floor), as do a
+    singular J, a ZeroDivisionError, a non-finite step and NEWTON_MAX steps."""
+    # J is not diagonally dominant, and unscaled, gtsv's pivoting loses the
+    # core rows of w = 0 grids (entries ~1e-22 at N = 6): S J S has O(1) rows
+    sc = 1.0 / np.sqrt(m_diag)
+    band = TridiagBand(sc[:-1] * sc[1:] * off)
+
+    def solve(jac_diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        s = sc if rhs.ndim == 1 else sc[:, None]
+        return s * band.solve_inplace(sc * sc * jac_diag, s * rhs)
+
+    for _ in range(NEWTON_MAX):
+        u, res = st[0], st[-1]
+        if res < target:
+            break
+        try:
+            du = step(st, solve)
+        except (np.linalg.LinAlgError, ZeroDivisionError):
+            break
+        if not all_finite(du):
+            break
+        t, new = 1.0, state(u + du)
+        while not new[-1] < res and res >= floor and t > 2.0 ** -10:
+            t *= 0.5
+            new = state(u + t * du)
+        if not new[-1] < res:
+            break
+        st = new
+    return st
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """Radial function sampled on a grid; implicitly 0 at r_max."""

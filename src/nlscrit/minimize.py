@@ -26,8 +26,8 @@ stiffness ratio of the Laplacian ~1e13.
 Second, once E < 0 and the residual is below NEWTON_SWITCH ||grad u||^2
 (or below the tolerance, or once E has gone flat to rounding), a
 bordered-tridiagonal Newton solve on the stationary system (including the
-multiplier), damped by step halving, polishes the state to 0.01 tol, or
-to the rounding floor, where its residual stops falling.
+multiplier), `grid.damped_newton`, polishes the state to 0.01 tol, or to
+the rounding floor, where its residual stops falling.
 
 Third, a coarse level in front of both (`_seed_start`): without an init,
 on grids of COARSE_START_N nodes or more, the two phases first run from
@@ -48,12 +48,11 @@ import numpy as np
 from . import constants as cst
 from . import functionals as fnl
 from . import profiles
-from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, TridiagBand, coarse_grid,
+from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, coarse_grid, damped_newton,
                    lq_norm_pow, mass, require_on_grid, resample, rescale)
 
 MAX_ITER = 20000          # descent-phase cap
 NEWTON_SWITCH = 1e-3      # residual / ||grad u||^2 at which Newton takes over
-NEWTON_MAX = 80
 STEP0 = 0.5
 STEP_MAX = 4.0
 ARMIJO = 1e-4
@@ -146,52 +145,6 @@ def _project_into_ball(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
     return cur
 
 
-def _newton_polish(params: cst.ProblemParams, grid: RadialGrid, u: np.ndarray,
-                   target: float, floor: float):
-    """Damped Newton on (stationary equation, mass constraint) from u, down
-    to residual `target`, taking only steps that lower the residual: while
-    it is at or above `floor`, a step that does not is halved, down to
-    2^-10; below, such a step ends the polish (the rounding floor).
-    Returns (u, ok, res) of the last iterate; ok when res < floor."""
-    W, a = grid.full_weights, params.a
-    diag, off = grid.stiffness_bands()
-    # the Jacobians are not diagonally dominant, and unscaled, gtsv's pivoting
-    # loses the core rows of w = 0 grids (entries ~1e-22 at N = 6): each step
-    # solves (S J S) y = S rhs, x = S y, S = diag(A + W)^(-1/2), whose rows are O(1)
-    sc = 1.0 / np.sqrt(diag + W)
-    band = TridiagBand(sc[:-1] * sc[1:] * off)
-
-    def state(v):
-        lam = _norms(params, grid, v).lagrange_multiplier(params)
-        return (v, lam) + _residual(params, grid, v, lam)
-
-    u, lam, F, res = state(u)
-    for _ in range(NEWTON_MAX):
-        if res < target:
-            break
-        try:
-            jac = diag - W * (_nonlinear_prime(params, u) + lam)
-            X = band.solve_inplace(sc * sc * jac, sc[:, None] * np.column_stack([-F, W * u]))
-        except np.linalg.LinAlgError:
-            break
-        x, y = sc * X[:, 0], sc * X[:, 1]
-        denom = 2.0 * float(np.dot(W * u, y))
-        if denom == 0.0 or not np.isfinite(denom):
-            break
-        dlam = (-(mass(grid, u) - a) - 2.0 * float(np.dot(W * u, x))) / denom
-        du = x + dlam * y
-        if not np.all(np.isfinite(du)):
-            break
-        step, new = 1.0, state(u + du)
-        while not new[3] < res and res >= floor and step > 2.0 ** -10:
-            step *= 0.5
-            new = state(u + step * du)
-        if not new[3] < res:
-            break
-        u, lam, F, res = new
-    return u, res < floor, res
-
-
 def minimize_local(params: cst.ProblemParams, grid: RadialGrid,
                    init: Profile | None = None, tol: float = 1e-8,
                    thresholds: cst.Thresholds | None = None) -> SolveReport:
@@ -266,6 +219,20 @@ def _solve(params: cst.ProblemParams, grid: RadialGrid, init: Profile, tol: floa
 
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
+
+    def state(v):
+        nv = _norms(params, grid, v)
+        return (v, nv) + _residual(params, grid, v, nv.lagrange_multiplier(params))
+
+    def newton_step(st, solve):
+        v, nv, F, _ = st
+        lam = nv.lagrange_multiplier(params)
+        X = solve(diag - W * (_nonlinear_prime(params, v) + lam), np.column_stack([-F, W * v]))
+        x, y = X[:, 0], X[:, 1]
+        dlam = (-(mass(grid, v) - a) - 2.0 * float(np.dot(W * v, x))) \
+            / (2.0 * float(np.dot(W * v, y)))
+        return x + dlam * y
+
     nm = _norms(params, grid, u)
     E = nm.energy(params)
     step = STEP0
@@ -315,17 +282,14 @@ def _solve(params: cst.ProblemParams, grid: RadialGrid, init: Profile, tol: floa
 
     if not boundary_hit:
         scale = tol * max(1.0, abs(E))
-        u_new, ok, _ = _newton_polish(params, grid, u, 0.01 * scale, scale)
-        u_new = u_new * math.sqrt(a / mass(grid, u_new))   # Newton meets the mass to ~1e-10
-        g2 = grid.stiffness_quad(u_new)
-        if ok and g2 < rho0:
-            # recompute the residual actually reported
-            nn = _norms(params, grid, u_new, g2)
-            _, res_new = _residual(params, grid, u_new, nn.lagrange_multiplier(params))
-            if res_new < res:
-                u, res, E, nm = u_new, res_new, nn.energy(params), nn
-        elif ok:   # the critical point the polish found lies outside the ball
-            boundary_hit = True
+        st = damped_newton(off, diag + W, state, newton_step, state(u), 0.01 * scale, scale)
+        if st[-1] < scale:
+            # the residual actually reported: Newton meets the mass to ~1e-10
+            v, nv, _, res_v = state(st[0] * math.sqrt(a / mass(grid, st[0])))
+            if nv.grad2 >= rho0:   # the critical point the polish found lies outside the ball
+                boundary_hit = True
+            elif res_v < res:
+                u, res, E, nm = v, res_v, nv.energy(params), nv
 
     converged = res < tol * max(1.0, abs(E))
     if np.dot(W, u) < 0.0:   # sign normalization

@@ -48,6 +48,12 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
     `rescale(u, tau_minus)`, on its own grid r_max / tau_minus, renormalized
     to mass a.  Norms on that grid scale as the fiber map's, so the profile's
     energy is psi(tau_minus) and its Pohozaev value is 0, both to rounding."""
+    return _project(params, grid, u, thresholds)[1]
+
+
+def _project(params: cst.ProblemParams, grid: RadialGrid, u: Profile,
+             thresholds: cst.Thresholds | None):
+    """(u's fiber report, its projection w, w's norms): project_to_pohozaev_minus."""
     cst.require_grid_dim(params, grid)
     rep = fnl.fiber_critical_points(params, grid, u, thresholds=thresholds)
     if rep.tau_minus is None:
@@ -63,7 +69,7 @@ def project_to_pohozaev_minus(params: cst.ProblemParams, grid: RadialGrid,
     if nm.energy(params) <= 0.0:
         raise RuntimeError("projected profile has nonpositive energy; "
                            "it does not belong to the positive branch")
-    return w
+    return rep, w, nm
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +94,7 @@ class LevelEstimate:
 
     level: float
     witness: Profile
+    witness_norms: fnl.FiberNorms = field(repr=False)   # on witness.grid
     m_a: float
     upper_bound: float            # m_a + S^(N/2)/N
     family_trace: list = field(repr=False)   # ((b, s), projected energy)
@@ -196,11 +203,10 @@ def estimate_mp_level(params: cst.ProblemParams, grid: RadialGrid,
     bub, s = best
     vals = umin + s * bub
     w = Profile(grid, vals * math.sqrt(a / mass(grid, vals)))
-    level = fnl.fiber_critical_points(params, grid, w, thresholds=thresholds).e_at_tau_minus
-    witness = project_to_pohozaev_minus(params, grid, w, thresholds=thresholds)
-    accepted = bool(0.0 < level < upper)
-    return LevelEstimate(level=level, witness=witness, m_a=m_a,
-                         upper_bound=upper, family_trace=trace, accepted=accepted)
+    rep, witness, norms = _project(params, grid, w, thresholds)
+    level = rep.e_at_tau_minus
+    return LevelEstimate(level=level, witness=witness, witness_norms=norms, m_a=m_a,
+                         upper_bound=upper, family_trace=trace, accepted=bool(0.0 < level < upper))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ computed on the caller's grid in the grid's own discretization,
 A K u + B W u = W |u|^(q-2) u (stiffness K, quadrature weights W):
 Petviashvili's iteration (V. I. Petviashvili, 1976; convergence in
 D. Pelinovsky & Y. Stepanyants, SIAM J. Numer. Anal. 42, 2004), whose
-solves with L = A K + B W share one LDL^T factor, followed by tridiagonal
-Newton.  From a Gaussian the iteration count does not fall with the mesh,
-so on grids of more than COARSE_N nodes the iteration starts from the
-ground state of `grid.coarse_grid` (same r_max, grading and origin blend),
-prolonged by monotone cubic interpolation.  Its far field decays like
-r^(-(N-1)/2) exp(-kappa r), kappa = sqrt(B/A), which sets the domain of
-the sharp-constant grid.
+solves with L = A K + B W share one LDL^T factor, followed by Newton
+(`grid.damped_newton`).  From a Gaussian the iteration count does not fall
+with the mesh, so on grids of more than COARSE_N nodes the iteration starts
+from the ground state of `grid.coarse_grid` (same r_max, grading and origin
+blend), prolonged by monotone cubic interpolation.  Its far field decays
+like r^(-(N-1)/2) exp(-kappa r), kappa = sqrt(B/A), which sets the domain
+of the sharp-constant grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, TridiagBand, coarse_grid, mass,
+from .grid import (COARSE_N, Profile, RadialGrid, SPDFactor, coarse_grid, damped_newton, mass,
                    resample)
 
 
@@ -45,12 +45,11 @@ def weinstein_decay_rate(dim: int, q: float) -> float:
 
 # The residual is |L u - W |u|^(q-2) u| / |W |u|^(q-2) u| over the weak-form
 # rows.  Rounding bounds it from below, at ~2e-11 for n = 8192 and ~4e-10
-# for n = 32768 on w = 0 grids: Newton also stops once the residual stops
-# falling, and only a residual above NEWTON_FLOOR is a failure.
+# for n = 32768 on w = 0 grids: below NEWTON_FLOOR, Newton also stops once
+# the residual stops falling, and only a residual above it is a failure.
 PETVIASHVILI_TOL = 1e-6     # handed over to Newton
 PETVIASHVILI_MAX = 500
 NEWTON_TOL = 1e-10
-NEWTON_MAX = 20
 NEWTON_FLOOR = 1e-8
 
 
@@ -60,8 +59,8 @@ def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
 
     Solves A K u + B W u = W |u|^(q-2) u with the grid's stiffness K and
     weights W: Petviashvili iteration down to a relative residual
-    PETVIASHVILI_TOL, then tridiagonal Newton down to NEWTON_TOL (or the
-    rounding floor).  On grids of more than COARSE_N nodes the iteration
+    PETVIASHVILI_TOL, then damped tridiagonal Newton down to NEWTON_TOL (or
+    the rounding floor).  On grids of more than COARSE_N nodes the iteration
     starts from the ground state of `coarse_grid(grid)` (same r_max,
     grading and origin blend), prolonged by `resample`; else from a
     Gaussian.
@@ -76,17 +75,20 @@ def weinstein_ground_state(q: float, grid: RadialGrid) -> Profile:
 def _ground_state(q: float, grid: RadialGrid, u: np.ndarray | None = None) -> np.ndarray:
     """weinstein_ground_state's iteration on `grid` from u, by default the
     Gaussian B^(1/(q-2)) exp(-r^2/2).  Petviashvili's linear solves share
-    one factor of L = A K + B W."""
+    one factor of L = A K + B W; Newton is `grid.damped_newton`."""
     A, B = ode_coefficients(grid.dim, q)
     W = grid.full_weights
     diag, off = grid.stiffness_bands()
     L_diag, L_off = A * diag + B * W, A * off
-    sc = 1.0 / np.sqrt(L_diag)   # the Newton solve's scale, as in minimize._newton_polish
 
-    def residual(u):
+    def state(u):
         Lu = A * grid.stiffness_apply(u) + B * W * u
         nl = W * np.abs(u) ** (q - 2.0) * u
-        return Lu, nl, float(np.linalg.norm(Lu - nl) / np.linalg.norm(nl))
+        return u, Lu, nl, float(np.linalg.norm(Lu - nl) / np.linalg.norm(nl))
+
+    def newton_step(st, solve):
+        u, Lu, nl, _ = st
+        return -solve(L_diag - (q - 1.0) * W * np.abs(u) ** (q - 2.0), Lu - nl)
 
     # on grids that cannot hold the ground state (r_max far too small or far
     # too large for n) the iterate overflows or vanishes: an error, not a warning
@@ -96,23 +98,15 @@ def _ground_state(q: float, grid: RadialGrid, u: np.ndarray | None = None) -> np
                 u = B ** (1.0 / (q - 2.0)) * np.exp(-0.5 * grid.nodes ** 2)
             L = SPDFactor(L_off, L_diag)
             for _ in range(PETVIASHVILI_MAX):
-                Lu, nl, res = residual(u)
+                st = u, Lu, nl, res = state(u)
                 if res < PETVIASHVILI_TOL:
                     break
                 stab = (np.dot(u, Lu) / np.dot(u, nl)) ** ((q - 1.0) / (q - 2.0))
                 u = stab * L.solve(nl)
             else:
                 raise RuntimeError(f"Petviashvili iteration stalled at residual {res:.2e}")
-            band = TridiagBand(sc[:-1] * sc[1:] * L_off)
-            for _ in range(NEWTON_MAX):
-                if res < NEWTON_TOL:
-                    break
-                jac = L_diag - (q - 1.0) * W * np.abs(u) ** (q - 2.0)
-                v = u - sc * band.solve_inplace(sc * sc * jac, sc * (Lu - nl))
-                Lv, nv, res_v = residual(v)
-                if not res_v < res:
-                    break
-                u, Lu, nl, res = v, Lv, nv, res_v
+            u, *_, res = damped_newton(L_off, L_diag, state, newton_step, st,
+                                       NEWTON_TOL, NEWTON_FLOOR)
     except FloatingPointError as exc:
         raise RuntimeError(f"ground-state iteration failed on this grid: {exc}") from exc
     if res > NEWTON_FLOOR:

@@ -374,6 +374,26 @@ def test_sweep_solves_ground_state_once(capsys, monkeypatch):
     assert calls == [(3, 2.5)]
 
 
+def test_mountain_pass_takes_the_norms_of_each_profile_once(capsys, monkeypatch):
+    # the best trial's fiber report gives both the level and the projection,
+    # and the projection's quality check gives the witness energy: one
+    # fiber_norms call on the trial (inside fiber_critical_points) and one on
+    # the witness
+    seen = []
+    norms = fnl.fiber_norms
+
+    def counted(params, grid, u):
+        seen.append(u)
+        return norms(params, grid, u)
+
+    monkeypatch.setattr(fnl, "fiber_norms", counted)
+    code, _ = run_cli(["mountain-pass", "--dim", "3", "--q", "2.5", "--mu", "1",
+                       "--a", "0.5a0", "--grid-n", "2048"], capsys)
+    assert code == 0
+    assert len(seen) == 2 and seen[0] is not seen[1]
+    assert seen[1].grid.r_max < seen[0].grid.r_max   # the witness, at tau_minus > 1
+
+
 @pytest.mark.parametrize("args", [
     ["--kind", "weinstein", "--dim", "4", "--q", "3"],
     ["--kind", "bubble", "--dim", "3", "--q", "auto"],

@@ -409,6 +409,77 @@ def test_band_solve_inplace_has_the_errors_of_tridiag_solve():
         TridiagBand(np.zeros(n - 1)).solve_inplace(np.zeros(n), rhs.copy())
 
 
+def newton_run(step, res0, floor, off=np.ones(7)):
+    """grid.damped_newton on the toy residual max|u| from u = res0, down to
+    target 0, where step(-u, solve) is the step: (first state, last state,
+    iterates tried).  Powers of 2 keep every residual below exact."""
+    tried = []
+
+    def state(u):
+        tried.append(u)
+        return u, float(np.max(np.abs(u)))
+
+    st0 = state(np.full(len(off) + 1, res0))
+    tried.clear()
+    out = grid_mod.damped_newton(off, np.full(len(off) + 1, 4.0), state,
+                                 lambda st, solve: step(-st[0], solve), st0, 0.0, floor)
+    return st0, out, tried
+
+
+def test_damped_newton_solves_the_scaled_jacobian():
+    # solve(jac_diag, rhs) is J^-1 rhs for an m_diag of about J's diagonal
+    rng = np.random.default_rng(11)
+    n = 24
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    jac = 2.5 + rng.uniform(0.0, 1.0, n)
+    m_diag = jac * np.exp(rng.uniform(-5.0, 5.0, n))
+    solves = []
+
+    def step(st, solve):
+        solves.append(solve)
+        return np.full(n, np.nan)
+
+    u = np.ones(n)
+    st = grid_mod.damped_newton(off, m_diag, lambda v: (v, 1.0), step, (u, 1.0), 0.0, 0.0)
+    assert st[0] is u and len(solves) == 1
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        kept = jac.copy(), rhs.copy()
+        x, ref = solves[0](jac, rhs), banded_solve(off, jac, rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(jac, kept[0]) and np.array_equal(rhs, kept[1])
+
+
+@pytest.mark.parametrize("floor, halved", [(2.0 ** -10, True),
+                                           (np.nextafter(2.0 ** -10, 1.0), False)])
+def test_damped_newton_halves_a_failed_step_only_at_or_above_floor(floor, halved):
+    # the full step -3 u doubles the residual, the half step halves it
+    st0, st, tried = newton_run(lambda e, solve: 3.0 * e, 2.0 ** -10, floor)
+    if halved:   # then the residual is below floor, and the next full step ends the run
+        assert st[1] == 2.0 ** -11 and len(tried) == 3 and tried[1] is st[0]
+    else:   # the failed full step ends the run at the state it started from
+        assert st is st0 and len(tried) == 1
+
+
+def test_damped_newton_ends_after_ten_halvings():
+    # a step uphill: each of 1, 1/2, ..., 2^-10 of it raises the residual
+    st0, st, tried = newton_run(lambda e, solve: -e, 2.0 ** -10, 0.0)
+    assert st is st0 and len(tried) == 11
+
+
+def test_damped_newton_stops_on_a_singular_jacobian_a_nonfinite_step_and_newton_max():
+    def singular(e, solve):
+        return solve(np.zeros(len(e)), e)   # J = 0: off and diagonal
+
+    for step in (singular, lambda e, solve: 1.0 / 0.0, lambda e, solve: np.full_like(e, np.nan)):
+        st0, st, tried = newton_run(step, 2.0 ** -10, 0.0, off=np.zeros(7))
+        assert st is st0 and tried == []
+    # each step halves the residual, which never reaches the target 0
+    st0, st, tried = newton_run(lambda e, solve: 0.5 * e, 1.0, 0.0)
+    assert len(tried) == grid_mod.NEWTON_MAX
+    assert st[1] == 0.5 ** grid_mod.NEWTON_MAX
+
+
 @pytest.mark.parametrize("t", [0.03, 0.7, 2.5, 40.0])
 @pytest.mark.parametrize("dim,grading,blend", [(3, 0.0, 0.0), (6, 1.0, 0.05)])
 def test_dilated_grid_is_make_grid_at_the_dilated_r_max(t, dim, grading, blend):

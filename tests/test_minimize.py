@@ -463,11 +463,11 @@ def test_a_singular_newton_step_ends_the_polish(monkeypatch):
         def solve_inplace(self, diag, rhs):
             raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(mn, "TridiagBand", Singular)
+    monkeypatch.setattr(nc.grid, "TridiagBand", Singular)
     rep = mn.minimize_local(params, g, init=init, thresholds=thr)
     monkeypatch.undo()
     assert not rep.converged and rep.grad_residual > 1e-8
-    monkeypatch.setattr(mn, "NEWTON_MAX", 0)
+    monkeypatch.setattr(nc.grid, "NEWTON_MAX", 0)
     ref = mn.minimize_local(params, g, init=init, thresholds=thr)
     assert np.array_equal(rep.final.values, ref.final.values)
     assert (rep.energy, rep.grad_residual) == (ref.energy, ref.grad_residual)

@@ -112,6 +112,28 @@ def test_coarse_start_keeps_the_ground_state(dim, q, C_ref):
     assert np.all(profiles.weinstein_ground_state(q, g).values > 0.0)
 
 
+def test_newton_backs_off_from_a_loose_petviashvili_handover(monkeypatch):
+    # handed over at residual 0.1, the full Newton step raises the residual;
+    # the damped run halves it and ends at the default solve's ground state
+    g = nc.make_grid(3, max(50.0, 72.0 / profiles.weinstein_decay_rate(3, 5.5)), 1024)
+    ref = profiles._ground_state(5.5, g)
+    monkeypatch.setattr(profiles, "PETVIASHVILI_TOL", 0.1)
+    u = profiles._ground_state(5.5, g)
+    assert np.all(u > 0.0)
+    assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_a_singular_newton_step_fails_the_ground_state(monkeypatch):
+    # Newton ends where Petviashvili handed over, above NEWTON_FLOOR
+    class Singular(nc.grid.TridiagBand):
+        def solve_inplace(self, diag, rhs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(nc.grid, "TridiagBand", Singular)
+    with pytest.raises(RuntimeError, match=r"Newton stopped at residual \d\.\d\de-\d\d"):
+        profiles._ground_state(3.0, nc.make_grid(3, 50.0, 1024))
+
+
 def test_bubble_values_and_quotient(sharp3):
     S, _ = sharp3
     # at N = 3 the kinetic tail decays like 1/r: truncating at 1e3 leaves a
